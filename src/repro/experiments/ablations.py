@@ -25,59 +25,51 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.miss_cache import MissCache
-from ..buffers.stream_buffer import StreamBuffer
-from ..buffers.victim_cache import VictimCache
-from ..caches.fully_associative import ReplacementPolicy
 from ..caches.set_associative import SetAssociativeCache
 from ..common.config import CacheConfig
 from ..common.stats import percent
-from .base import TableResult
-from .runner import run_level
+from ..specs import MissCacheSpec, StreamBufferSpec, SystemSpec, VictimCacheSpec
+from .base import TableResult, run_points
+from .engine import LevelJob
 from .workloads import suite
 
 __all__ = ["run"]
 
 CONFIG = CacheConfig(4096, 16)
 
+#: The structures compared, in column order after the baseline.
+VARIANTS = [
+    VictimCacheSpec(4),
+    VictimCacheSpec(4, swap_on_hit=False),
+    MissCacheSpec(4),
+    VictimCacheSpec(4, policy="fifo"),
+    StreamBufferSpec(4),
+    StreamBufferSpec(4, head_only=False),
+]
 
-def _removed_percent(addresses, augmentation) -> float:
-    run = run_level(addresses, CONFIG, augmentation)
-    return percent(run.removed, run.misses)
 
-
-def _two_way_miss_reduction(addresses) -> float:
-    """Percent of direct-mapped misses avoided by a 2-way cache."""
-    direct = run_level(addresses, CONFIG)
+def _two_way_misses(addresses) -> int:
+    """Misses of a 2-way cache of the same capacity."""
     two_way = SetAssociativeCache(CONFIG, ways=2)
     misses = 0
     for address in addresses:
         if not two_way.access_and_fill(address >> CONFIG.offset_bits):
             misses += 1
-    return percent(direct.misses - misses, direct.misses)
+    return misses
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    specs = [SystemSpec.for_level(None, CONFIG, structure=s) for s in [None] + VARIANTS]
+    results = iter(run_points([(trace, spec, LevelJob) for trace in traces for spec in specs]))
     rows = []
     for trace in traces:
-        addresses = trace.data_addresses
+        direct, *helped = [next(results) for _ in specs]
+        misses = direct.demand_misses
         rows.append(
-            [
-                trace.name,
-                round(_removed_percent(addresses, VictimCache(4)), 1),
-                round(_removed_percent(addresses, VictimCache(4, swap_on_hit=False)), 1),
-                round(_removed_percent(addresses, MissCache(4)), 1),
-                round(
-                    _removed_percent(
-                        addresses, VictimCache(4, policy=ReplacementPolicy.FIFO)
-                    ),
-                    1,
-                ),
-                round(_removed_percent(addresses, StreamBuffer(4)), 1),
-                round(_removed_percent(addresses, StreamBuffer(4, head_only=False)), 1),
-                round(_two_way_miss_reduction(addresses), 1),
-            ]
+            [trace.name]
+            + [round(percent(run.removed_misses, run.demand_misses), 1) for run in helped]
+            + [round(percent(misses - _two_way_misses(trace.data_addresses), misses), 1)]
         )
     return TableResult(
         experiment_id="ablations",

@@ -7,11 +7,12 @@ behind the plot, since this is a terminal harness).  Both render to
 fixed-width text in the shape of the paper's artifact so measured and
 published values can be compared side by side.
 
-Figure experiments that replay per-(trace, side) level points can
-declare those points as :class:`~repro.specs.SystemSpec` values via
-:func:`level_point_specs` and evaluate them through the engine with
-:func:`run_point_specs` — the same declarative currency the grid and
-batch sweeps use, so a figure's points fan out over workers for free.
+Experiments that replay single-level points — one trace side through
+one cache geometry, with or without a helper structure — declare each
+point as a trace plus a trace-less :class:`~repro.specs.SystemSpec` and
+evaluate the whole list through the engine with :func:`run_points`, as
+the grid and batch sweeps do: every point is backend-dispatched,
+memoized in an active result store, and fans out over workers.
 """
 
 from __future__ import annotations
@@ -24,45 +25,62 @@ __all__ = [
     "FigureResult",
     "TableResult",
     "format_value",
-    "level_point_specs",
-    "run_point_specs",
+    "run_points",
 ]
 
 
-def level_point_specs(
-    traces,
-    config,
-    structure=None,
-    sides: Sequence[str] = ("i", "d"),
-    classify: bool = False,
-    warmup: int = 0,
-) -> Optional[List]:
-    """SystemSpecs for every (side, trace) level point, in nested order.
+def run_points(points, jobs: Optional[int] = None, resilience=None,
+               component: str = "run_points") -> List:
+    """Results for ``(trace, system, make_job)`` points, in order.
 
-    Ordering is ``for side in sides: for trace in traces``.  Returns
-    None when any trace lacks a registry rebuild recipe — the caller
-    then replays inline on the live trace objects instead.
+    *system* is a trace-less ``SystemSpec.for_level(None, config, ...)``;
+    *make_job* (``LevelJob``, ``partial(EntrySweepJob, kind="victim")``,
+    ...) builds the job once *trace*'s workload spec is bound in.  Keyed
+    traces run as one engine batch on the caller's trace objects.
+    Hand-made traces have no spec and replay inline on the interpreter —
+    the one inline path, its jobs naming the trace by label only — and
+    overriding a ``jobs > 1`` request is reported under *component*.
     """
-    from ..specs import SystemSpec
+    from dataclasses import replace
 
-    specs = []
-    for side in sides:
-        for trace in traces:
-            spec = SystemSpec.for_level(
-                trace, config, side=side, structure=structure,
-                classify=classify, warmup=warmup,
+    from ..kernels import PYTHON
+    from ..specs import NamedWorkloadSpec, unkeyed_reason, workload_spec_of
+    from ..telemetry.core import current, record_fallback
+    from .engine import execute_job, resolve_jobs, run_jobs
+    from .workloads import lent_workloads
+
+    points = list(points)
+    traces = {id(trace): trace for trace, _, _ in points}
+    refs = {key: workload_spec_of(trace) for key, trace in traces.items()}
+    keyed = [i for i, (trace, _, _) in enumerate(points) if refs[id(trace)] is not None]
+    inline = [i for i, (trace, _, _) in enumerate(points) if refs[id(trace)] is None]
+    results: List = [None] * len(points)
+    if keyed:
+        bound = [
+            make_job(replace(system, trace=refs[id(trace)]))
+            for trace, system, make_job in (points[i] for i in keyed)
+        ]
+        lent = [(refs[key], trace) for key, trace in traces.items() if refs[key] is not None]
+        with lent_workloads(lent):
+            for i, result in zip(keyed, run_jobs(bound, jobs=jobs, resilience=resilience)):
+                results[i] = result
+    if inline:
+        if resolve_jobs(jobs) > 1:
+            reasons = dict.fromkeys(unkeyed_reason(points[i][0]) for i in inline)
+            record_fallback(
+                component,
+                f"trace(s) without a workload spec: {'; '.join(reasons)}",
+                stacklevel=4,
             )
-            if spec is None:
-                return None
-            specs.append(spec)
-    return specs
+        for i in inline:
+            trace, system, make_job = points[i]
+            label = NamedWorkloadSpec(name=trace.name)
+            results[i] = execute_job(make_job(replace(system, trace=label)), trace=trace)
+        scope = current()
+        if scope is not None:
+            scope.record_backends({PYTHON: len(inline)})
+    return results
 
-
-def run_point_specs(specs, jobs: Optional[int] = None, resilience=None) -> List:
-    """LevelSummaries for spec points, via the (optionally parallel) engine."""
-    from .engine import LevelJob, run_jobs
-
-    return run_jobs([LevelJob(spec) for spec in specs], jobs=jobs, resilience=resilience)
 
 Value = Union[int, float, str]
 

@@ -11,15 +11,20 @@ current configuration breaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from ..buffers.base import CompositeAugmentation
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-from ..buffers.victim_cache import VictimCache
 from ..common.config import CacheConfig
 from ..common.stats import percent, safe_div
-from .runner import run_level
-from .sweeps import miss_cache_sweep, victim_cache_sweep
+from ..specs import (
+    CompositeSpec,
+    MultiWayStreamBufferSpec,
+    StreamBufferSpec,
+    SystemSpec,
+    VictimCacheSpec,
+)
+from .base import run_points
+from .engine import EntrySweepJob, LevelJob
 from .workloads import suite
 
 __all__ = ["ShapeCheck", "CheckOutcome", "run_checks", "render_outcomes"]
@@ -49,42 +54,42 @@ def _average(values: List[float]) -> float:
 
 
 def _measurements(traces) -> Dict:
-    """One pass of everything the checks need."""
-    data: Dict = {"vc": {}, "mc": {}}
-    for trace in traces:
-        addresses = trace.data_addresses
-        data["vc"][trace.name] = victim_cache_sweep(addresses, CONFIG)
-        data["mc"][trace.name] = miss_cache_sweep(addresses, CONFIG)
+    """One engine batch of everything the checks need."""
+    traces = list(traces)
+    sb1, sb4 = StreamBufferSpec(4), MultiWayStreamBufferSpec(4, 4)
+    plain_d = SystemSpec.for_level(None, CONFIG)
+    combined_d = CompositeSpec((VictimCacheSpec(4), sb4))
+    groups = {
+        "vc": (plain_d, partial(EntrySweepJob, kind="victim")),
+        "mc": (plain_d, partial(EntrySweepJob, kind="miss")),
+        "combined_d": (SystemSpec.for_level(None, CONFIG, structure=combined_d), LevelJob),
+    }
     for side in ("i", "d"):
-        single: Dict[str, Optional[float]] = {}
-        multi: Dict[str, Optional[float]] = {}
-        for trace in traces:
-            stream = trace.stream(side)
-            base = run_level(stream, CONFIG)
-            if base.misses == 0:
-                single[trace.name] = None
-                multi[trace.name] = None
-                continue
-            single[trace.name] = percent(
-                run_level(stream, CONFIG, StreamBuffer(4)).removed, base.misses
+        for label, structure in (("base", None), ("sb1", sb1), ("sb4", sb4)):
+            groups[f"{label}_{side}"] = (
+                SystemSpec.for_level(None, CONFIG, side=side, structure=structure),
+                LevelJob,
             )
-            multi[trace.name] = percent(
-                run_level(stream, CONFIG, MultiWayStreamBuffer(4, 4)).removed,
-                base.misses,
-            )
-        data[f"sb1_{side}"] = single
-        data[f"sb4_{side}"] = multi
-    # Combined system: misses reaching L2, base vs improved.
-    base_total = improved_total = 0
-    for trace in traces:
-        for side, make in (
-            ("i", lambda: StreamBuffer(4)),
-            ("d", lambda: CompositeAugmentation([VictimCache(4), MultiWayStreamBuffer(4, 4)])),
-        ):
-            stream = trace.stream(side)
-            base_total += run_level(stream, CONFIG).stats.misses_to_next_level
-            improved_total += run_level(stream, CONFIG, make()).stats.misses_to_next_level
-    data["combined"] = (base_total, improved_total)
+    results = iter(
+        run_points([(trace, *group) for group in groups.values() for trace in traces])
+    )
+    runs = {key: {trace.name: next(results) for trace in traces} for key in groups}
+    data: Dict = {"vc": runs["vc"], "mc": runs["mc"]}
+    for side in ("i", "d"):
+        for label in ("sb1", "sb4"):
+            helped = runs[f"{label}_{side}"]
+            data[f"{label}_{side}"] = {
+                name: percent(helped[name].removed_misses, base.demand_misses)
+                if base.demand_misses else None
+                for name, base in runs[f"base_{side}"].items()
+            }
+    # Combined system: misses reaching L2, base vs improved (a stream
+    # buffer on the I-side; VC4 plus a 4-way stream buffer on the D-side).
+    data["combined"] = (
+        sum(run.misses_to_next_level for side in "id" for run in runs[f"base_{side}"].values()),
+        sum(run.misses_to_next_level for key in ("sb1_i", "combined_d")
+            for run in runs[key].values()),
+    )
     return data
 
 

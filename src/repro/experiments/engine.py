@@ -57,7 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..buffers.base import L1Augmentation
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
-from ..kernels import MISS_REPLAY, NUMPY, PYTHON, kernel_mode, select_backend
+from ..kernels import MISS_REPLAY, NUMPY, kernel_mode, select_backend
 from ..specs import (
     SpecError,
     SystemSpec,
@@ -223,6 +223,8 @@ class EntrySweepJob:
 
     def __post_init__(self) -> None:
         _require_trace(self.system, "EntrySweepJob")
+        if self.kind not in ("miss", "victim"):
+            raise ConfigurationError(f"unknown entry-sweep kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -287,9 +289,7 @@ def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
     )
 
     if isinstance(job, EntrySweepJob):
-        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}.get(job.kind)
-        if spec_cls is None:
-            raise ConfigurationError(f"unknown entry-sweep kind {job.kind!r}")
+        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}[job.kind]
         structure = spec_cls(entries=job.max_entries + 1, track_depths=True)
     elif job.ways == 1:
         structure = StreamBufferSpec(entries=job.entries, track_run_offsets=True)
@@ -300,7 +300,12 @@ def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
     return replace(job.system, structure=structure)
 
 
-def execute_job(job: Job):
+def _dispatch_system(job: Job) -> SystemSpec:
+    """The spec whose backend a level or sweep job runs on."""
+    return job.system if isinstance(job, LevelJob) else _sweep_system(job)
+
+
+def execute_job(job: Job, trace=None):
     """Run one job in the current process and return its picklable result.
 
     ``LevelJob``s are backend-dispatched: when
@@ -312,61 +317,10 @@ def execute_job(job: Job):
     dispatch through their equivalent tracked-structure spec.  All
     backends return identical results, so dispatch is invisible to
     callers and to the result store.
+
+    *trace* replays the job on that live trace on the interpreter — the
+    inline path for hand-made traces (:func:`~repro.experiments.base.run_points`).
     """
-    if isinstance(job, LevelJob):
-        system = job.system
-        if select_backend(system) == NUMPY:
-            if system.structure is not None:
-                from ..kernels.assist import simulate_assist_summary
-
-                return simulate_assist_summary(system)
-            from ..kernels.numpy_backend import simulate_level_summary
-
-            return simulate_level_summary(system)
-        addresses = system.trace.trace().stream(system.side)
-        run = run_level(
-            addresses,
-            system.cache_config,
-            system.build_structure(),
-            classify=system.classify,
-            warmup=system.warmup,
-        )
-        stats = run.stats
-        return LevelSummary(
-            accesses=stats.accesses,
-            demand_misses=stats.demand_misses,
-            removed_misses=stats.removed_misses,
-            misses_to_next_level=stats.misses_to_next_level,
-            stream_stall_cycles=stats.stream_stall_cycles,
-            conflict_misses=run.conflicts if system.classify else None,
-        )
-    if isinstance(job, EntrySweepJob):
-        system = job.system
-        if job.kind not in ("miss", "victim"):
-            raise ConfigurationError(f"unknown entry-sweep kind {job.kind!r}")
-        if select_backend(_sweep_system(job)) == NUMPY:
-            from ..kernels.assist import entry_sweep_summary
-
-            return entry_sweep_summary(system, job.kind, job.max_entries)
-        addresses = system.trace.trace().stream(system.side)
-        sweep_fn = {"miss": miss_cache_sweep, "victim": victim_cache_sweep}[job.kind]
-        return sweep_fn(addresses, system.cache_config, job.max_entries)
-    if isinstance(job, RunSweepJob):
-        system = job.system
-        if select_backend(_sweep_system(job)) == NUMPY:
-            from ..kernels.assist import run_length_sweep_summary
-
-            return run_length_sweep_summary(
-                system, job.ways, job.entries, job.max_run
-            )
-        addresses = system.trace.trace().stream(system.side)
-        return stream_buffer_run_sweep(
-            addresses,
-            system.cache_config,
-            ways=job.ways,
-            entries=job.entries,
-            max_run=job.max_run,
-        )
     if isinstance(job, ExperimentJob):
         # Local import: the experiment registry lives in the package
         # __init__, which itself imports this module.
@@ -375,7 +329,53 @@ def execute_job(job: Job):
         started = time.time()
         result = ALL_EXPERIMENTS[job.name](traces=None, scale=job.scale, seed=job.seed)
         return ExperimentOutcome(name=job.name, result=result, elapsed=time.time() - started)
-    raise TypeError(f"not an engine job: {job!r}")
+    if not isinstance(job, (LevelJob, EntrySweepJob, RunSweepJob)):
+        raise TypeError(f"not an engine job: {job!r}")
+    system = job.system
+    if trace is None:
+        if select_backend(_dispatch_system(job)) == NUMPY:
+            from ..kernels import assist
+
+            if isinstance(job, EntrySweepJob):
+                return assist.entry_sweep_summary(system, job.kind, job.max_entries)
+            if isinstance(job, RunSweepJob):
+                return assist.run_length_sweep_summary(
+                    system, job.ways, job.entries, job.max_run
+                )
+            if system.structure is not None:
+                return assist.simulate_assist_summary(system)
+            from ..kernels.numpy_backend import simulate_level_summary
+
+            return simulate_level_summary(system)
+        trace = system.trace.trace()
+    addresses = trace.stream(system.side)
+    if isinstance(job, EntrySweepJob):
+        sweep_fn = {"miss": miss_cache_sweep, "victim": victim_cache_sweep}[job.kind]
+        return sweep_fn(addresses, system.cache_config, job.max_entries)
+    if isinstance(job, RunSweepJob):
+        return stream_buffer_run_sweep(
+            addresses,
+            system.cache_config,
+            ways=job.ways,
+            entries=job.entries,
+            max_run=job.max_run,
+        )
+    run = run_level(
+        addresses,
+        system.cache_config,
+        system.build_structure(),
+        classify=system.classify,
+        warmup=system.warmup,
+    )
+    stats = run.stats
+    return LevelSummary(
+        accesses=stats.accesses,
+        demand_misses=stats.demand_misses,
+        removed_misses=stats.removed_misses,
+        misses_to_next_level=stats.misses_to_next_level,
+        stream_stall_cycles=stats.stream_stall_cycles,
+        conflict_misses=run.conflicts if system.classify else None,
+    )
 
 
 def default_jobs() -> int:
@@ -521,14 +521,21 @@ class JobFailedError(RuntimeError):
         )
 
 
+#: Every trace this pool worker's batch names, held for the worker's
+#: lifetime so the trace memo finds them whatever its LRU cap.
+_WORKER_TRACES: Tuple = ()
+
+
 def _warm_worker(trace_keys: Tuple[WorkloadSpec, ...]) -> None:
     """Worker initializer: materialize each distinct trace exactly once.
 
-    Later jobs in this worker hit the process-level memoization in
+    Later jobs in this worker find the held traces through the memo in
     :mod:`repro.experiments.workloads` instead of rebuilding.
     """
-    for key in trace_keys:
-        key.trace()
+    from .workloads import materialized_workloads
+
+    global _WORKER_TRACES
+    _WORKER_TRACES = tuple(materialized_workloads(trace_keys))
 
 
 def _shm_warm_worker(descriptors: Tuple) -> None:
@@ -536,15 +543,18 @@ def _shm_warm_worker(descriptors: Tuple) -> None:
 
     Each descriptor names one shared-memory segment holding a trace's
     packed buffers; attaching is two ``memcpy`` calls instead of a full
-    synthetic-generator replay.  Failures degrade gracefully — a trace
-    that cannot be attached is rebuilt on demand by the first job that
-    needs it, through the normal workload memo — but never silently: the
+    synthetic-generator replay, and the traces are held as in
+    :func:`_warm_worker`.  Failures degrade gracefully — a trace that
+    cannot be attached is rebuilt on demand by the first job that needs
+    it, through the normal workload memo — but never silently: the
     degradation and its cause are warned on the worker's stderr so a
     slow spawn-platform pool can be diagnosed.
     """
     from ..traces.packed import attach_shared_trace
-    from .workloads import seed_materialized_trace, seed_materialized_workload
+    from .workloads import seed_materialized_workload
 
+    global _WORKER_TRACES
+    held = []
     for descriptor in descriptors:
         try:
             trace = attach_shared_trace(descriptor)
@@ -556,13 +566,9 @@ def _shm_warm_worker(descriptors: Tuple) -> None:
                 stacklevel=2,
             )
             continue
-        key = descriptor.memo_key
-        if isinstance(key, tuple):
-            # Legacy descriptor shape: (name, scale, seed).
-            name, scale, seed = key
-            seed_materialized_trace(name, scale, seed, trace)
-        else:
-            seed_materialized_workload(key, trace)
+        seed_materialized_workload(descriptor.memo_key, trace)
+        held.append(trace)
+    _WORKER_TRACES = tuple(held)
 
 
 def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
@@ -585,10 +591,10 @@ def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
     if not trace_keys or multiprocessing.get_start_method() == "fork":
         return plain
     from ..traces.packed import PackedTrace, share_packed_traces
+    from .workloads import materialized_workloads
 
     entries = []
-    for key in trace_keys:
-        trace = key.trace()
+    for key, trace in zip(trace_keys, materialized_workloads(trace_keys)):
         if not isinstance(trace, PackedTrace):
             return (
                 _warm_worker,
@@ -661,15 +667,9 @@ def _job_backend(job: Job) -> Optional[str]:
     Experiment jobs are opaque here — their inner batches dispatch (and
     count) per job themselves.
     """
-    if isinstance(job, LevelJob):
-        system = job.system
-    elif isinstance(job, (EntrySweepJob, RunSweepJob)):
-        try:
-            system = _sweep_system(job)
-        except ConfigurationError:
-            return PYTHON
-    else:
+    if not isinstance(job, (LevelJob, EntrySweepJob, RunSweepJob)):
         return None
+    system = _dispatch_system(job)
     backend = select_backend(system)
     if backend == NUMPY and kernel_mode(system) == MISS_REPLAY:
         return MISS_REPLAY

@@ -24,18 +24,19 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..buffers.victim_cache import VictimCache
 from ..caches.fully_associative import FullyAssociativeCache
 from ..caches.set_associative import SetAssociativeCache
 from ..common.config import CacheConfig
 from ..common.stats import safe_div
-from .base import TableResult
-from .runner import run_level
+from ..specs import SystemSpec, VictimCacheSpec
+from .base import TableResult, run_points
+from .engine import LevelJob
 from .workloads import suite
 
 __all__ = ["run"]
 
 CONFIG = CacheConfig(4096, 16)
+VC_ENTRIES = (1, 2, 4)
 
 
 def _misses(cache, addresses: List[int]) -> int:
@@ -48,18 +49,20 @@ def _misses(cache, addresses: List[int]) -> int:
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    structures = [None] + [VictimCacheSpec(entries) for entries in VC_ENTRIES]
+    specs = [SystemSpec.for_level(None, CONFIG, structure=s) for s in structures]
+    results = iter(run_points([(trace, spec, LevelJob) for trace in traces for spec in specs]))
     rows = []
     for trace in traces:
         addresses = trace.data_addresses
-        direct = run_level(addresses, CONFIG)
-        dm_misses = direct.misses
+        direct, *helped = [next(results) for _ in specs]
+        dm_misses = direct.demand_misses
         two_way = _misses(SetAssociativeCache(CONFIG, 2), addresses)
         four_way = _misses(SetAssociativeCache(CONFIG, 4), addresses)
         fully = _misses(FullyAssociativeCache(CONFIG.num_lines), addresses)
         vc_removed = {
-            entries: run_level(addresses, CONFIG, VictimCache(entries)).removed
-            for entries in (1, 2, 4)
+            entries: run.removed_misses for entries, run in zip(VC_ENTRIES, helped)
         }
         two_way_gain = dm_misses - two_way
         recovery = safe_div(vc_removed[4], two_way_gain) if two_way_gain > 0 else float("inf")

@@ -17,13 +17,14 @@ miss cache, and (c) each entry of a victim cache — and the resulting
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..common.config import CacheConfig
 from ..common.stats import average_percent_reduction
-from .base import TableResult
-from .runner import run_level
-from .sweeps import miss_cache_sweep, victim_cache_sweep
+from ..specs import SystemSpec
+from .base import TableResult, run_points
+from .engine import EntrySweepJob, LevelJob
 from .workloads import suite
 
 __all__ = ["run"]
@@ -33,17 +34,23 @@ BIG = CacheConfig(8192, 16)
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
-    traces = traces if traces is not None else suite(scale, seed)
+    traces = list(traces) if traces is not None else suite(scale, seed)
+    small = SystemSpec.for_level(None, SMALL)
+    per_trace = [
+        (small, LevelJob),
+        (SystemSpec.for_level(None, BIG), LevelJob),
+        (small, partial(EntrySweepJob, kind="miss", max_entries=4)),
+        (small, partial(EntrySweepJob, kind="victim", max_entries=4)),
+    ]
+    results = iter(run_points([(trace, *point) for trace in traces for point in per_trace]))
     doubling_pairs = []
     mc_sweeps = {}
     vc_sweeps = {}
     for trace in traces:
-        addresses = trace.data_addresses
-        small_misses = run_level(addresses, SMALL).misses
-        big_misses = run_level(addresses, BIG).misses
-        doubling_pairs.append((small_misses, big_misses))
-        mc_sweeps[trace.name] = miss_cache_sweep(addresses, SMALL, max_entries=4)
-        vc_sweeps[trace.name] = victim_cache_sweep(addresses, SMALL, max_entries=4)
+        small_run, big_run, mc_sweeps[trace.name], vc_sweeps[trace.name] = (
+            next(results) for _ in per_trace
+        )
+        doubling_pairs.append((small_run.demand_misses, big_run.demand_misses))
 
     doubling_reduction = average_percent_reduction(doubling_pairs)
     extra_lines = BIG.num_lines - SMALL.num_lines

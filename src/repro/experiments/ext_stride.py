@@ -14,43 +14,48 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
-from ..buffers.stride import MultiWayStrideBuffer, StrideStreamBuffer
 from ..common.config import CacheConfig
 from ..common.stats import percent
-from ..traces.registry import build_trace
-from .base import TableResult
-from .runner import run_level
-from .workloads import suite
+from ..specs import (
+    MultiWayStreamBufferSpec,
+    MultiWayStrideBufferSpec,
+    StreamBufferSpec,
+    StrideBufferSpec,
+    SystemSpec,
+)
+from .base import TableResult, run_points
+from .engine import LevelJob
+from .workloads import materialized_trace, suite
 
 __all__ = ["run"]
 
 CONFIG = CacheConfig(4096, 16)
 
 _BUFFERS = [
-    ("seq 1-way", lambda: StreamBuffer(4)),
-    ("seq 4-way", lambda: MultiWayStreamBuffer(4, 4)),
-    ("stride 1-way", lambda: StrideStreamBuffer(4)),
-    ("stride 4-way", lambda: MultiWayStrideBuffer(4, 4)),
+    ("seq 1-way", StreamBufferSpec(4)),
+    ("seq 4-way", MultiWayStreamBufferSpec(4, 4)),
+    ("stride 1-way", StrideBufferSpec(4)),
+    ("stride 4-way", MultiWayStrideBufferSpec(4, 4)),
 ]
-
-
-def _row(name: str, addresses) -> list:
-    baseline = run_level(addresses, CONFIG)
-    row: list = [name, baseline.misses]
-    for _, make in _BUFFERS:
-        result = run_level(addresses, CONFIG, make())
-        row.append(round(percent(result.removed, baseline.misses), 1))
-    return row
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> TableResult:
     traces = traces if traces is not None else suite(scale, seed)
     matcol_scale = scale if scale is not None else 60_000
-    matcol = build_trace("matcol", matcol_scale, seed).materialize()
-    rows = [_row("matcol (non-unit)", matcol.data_addresses)]
-    for trace in traces:
-        rows.append(_row(trace.name, trace.data_addresses))
+    programs = [("matcol (non-unit)", materialized_trace("matcol", matcol_scale, seed))]
+    programs += [(trace.name, trace) for trace in traces]
+    specs = [
+        SystemSpec.for_level(None, CONFIG, structure=buffer)
+        for buffer in [None] + [buffer for _, buffer in _BUFFERS]
+    ]
+    results = iter(run_points([(trace, spec, LevelJob) for _, trace in programs for spec in specs]))
+    rows = []
+    for name, _ in programs:
+        baseline, *helped = [next(results) for _ in specs]
+        rows.append(
+            [name, baseline.demand_misses]
+            + [round(percent(run.removed_misses, baseline.demand_misses), 1) for run in helped]
+        )
     return TableResult(
         experiment_id="ext_stride",
         title="Extension (SS5): stride-detecting vs. sequential stream buffers, data side",

@@ -37,10 +37,10 @@ def entry_sweep_figure(
     """Shared driver for Figures 3-3 and 3-5 (only the structure differs).
 
     *kind* is the :func:`~repro.experiments.sweeps.batch_entry_sweeps`
-    structure kind (``"miss"`` or ``"victim"``).  Routing through the
-    batch helper means the figure inherits its execution modes: inline
-    by default, fanned out with ``REPRO_JOBS > 1``, memoized point by
-    point when a result store is active.
+    structure kind (``"miss"`` or ``"victim"``).  Every sweep is an
+    engine job: vectorized on the numpy backend, fanned out with
+    ``REPRO_JOBS > 1``, memoized point by point when a result store is
+    active.
     """
     traces = list(traces)
     config = CacheConfig(4096, 16)

@@ -10,41 +10,61 @@ conflicts become rarer as sets multiply.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.config import CacheConfig
 from ..common.stats import safe_div
-from .base import FigureResult, Series
-from .sweeps import victim_cache_sweep
+from ..specs import SystemSpec
+from .base import FigureResult, Series, run_points
+from .engine import EntrySweepJob
 from .workloads import suite
 
-__all__ = ["run", "CACHE_SIZES_KB", "VC_ENTRIES"]
+__all__ = ["run", "victim_curves", "CACHE_SIZES_KB", "VC_ENTRIES"]
 
 CACHE_SIZES_KB = [1, 2, 4, 8, 16, 32, 64, 128]
 VC_ENTRIES = [1, 2, 4, 15]
 
 
-def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
-    traces = traces if traces is not None else suite(scale, seed)
+def victim_curves(
+    traces, configs: Sequence[CacheConfig]
+) -> Tuple[List[List[float]], List[float]]:
+    """Per :data:`VC_ENTRIES` size, the benchmark-average percent of data
+    conflict misses removed at each config, plus the average conflict
+    share of misses; benchmarks without conflicts are left out."""
+    traces = list(traces)
+    victim_sweep = partial(EntrySweepJob, kind="victim", max_entries=max(VC_ENTRIES))
+    points = [
+        (trace, SystemSpec.for_level(None, config), victim_sweep)
+        for config in configs
+        for trace in traces
+    ]
+    sweeps = iter(run_points(points))
     removal_curves: List[List[float]] = [[] for _ in VC_ENTRIES]
     conflict_percent: List[float] = []
-    for size_kb in CACHE_SIZES_KB:
-        config = CacheConfig(size_kb * 1024, 16)
-        per_entry_percents: List[List[float]] = [[] for _ in VC_ENTRIES]
+    for _ in configs:
+        per_entry: List[List[float]] = [[] for _ in VC_ENTRIES]
         conflict_shares: List[float] = []
-        for trace in traces:
-            sweep = victim_cache_sweep(trace.data_addresses, config, max(VC_ENTRIES))
+        for sweep in islice(sweeps, len(traces)):
             if sweep.conflict_misses == 0:
                 continue
             for slot, entries in enumerate(VC_ENTRIES):
-                per_entry_percents[slot].append(sweep.percent_of_conflicts_removed(entries))
+                per_entry[slot].append(sweep.percent_of_conflicts_removed(entries))
             conflict_shares.append(100.0 * safe_div(sweep.conflict_misses, sweep.total_misses))
-        for slot in range(len(VC_ENTRIES)):
-            values = per_entry_percents[slot]
+        for slot, values in enumerate(per_entry):
             removal_curves[slot].append(sum(values) / len(values) if values else 0.0)
         conflict_percent.append(
             sum(conflict_shares) / len(conflict_shares) if conflict_shares else 0.0
         )
+    return removal_curves, conflict_percent
+
+
+def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
+    traces = traces if traces is not None else suite(scale, seed)
+    removal_curves, conflict_percent = victim_curves(
+        traces, [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB]
+    )
     series = [
         Series(f"{entries}-entry victim cache", CACHE_SIZES_KB, removal_curves[slot])
         for slot, entries in enumerate(VC_ENTRIES)

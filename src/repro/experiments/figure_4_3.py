@@ -33,10 +33,10 @@ def run_length_figure(
 ) -> FigureResult:
     """Shared driver for Figures 4-3 (1-way) and 4-5 (4-way).
 
-    Sweeps go through :func:`~repro.experiments.sweeps.batch_run_sweeps`
-    so the figure inherits its execution modes: inline by default,
-    fanned out with ``REPRO_JOBS > 1``, memoized point by point when a
-    result store is active.
+    Sweeps go through :func:`~repro.experiments.sweeps.batch_run_sweeps`,
+    so every one is an engine job: backend-dispatched, fanned out with
+    ``REPRO_JOBS > 1``, memoized point by point when a result store is
+    active.
     """
     traces = list(traces)
     config = CacheConfig(4096, 16)

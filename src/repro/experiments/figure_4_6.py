@@ -11,52 +11,54 @@ surviving misses.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import islice
+from typing import Dict, List, Optional, Sequence
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from ..common.config import CacheConfig
-from .base import FigureResult, Series
-from .runner import run_level
+from ..specs import MultiWayStreamBufferSpec, StreamBufferSpec, SystemSpec
+from .base import FigureResult, Series, run_points
+from .engine import LevelJob
 from .workloads import suite
 
-__all__ = ["run", "CACHE_SIZES_KB"]
+__all__ = ["run", "removal_curves", "CACHE_SIZES_KB"]
 
 CACHE_SIZES_KB = [1, 2, 4, 8, 16, 32, 64, 128]
 
+#: ``(label, side, buffer)`` per curve, in plotting order.
+CURVES = [
+    ("single, I-cache", "i", StreamBufferSpec(4)),
+    ("single, D-cache", "d", StreamBufferSpec(4)),
+    ("4-way, I-cache", "i", MultiWayStreamBufferSpec(4, 4)),
+    ("4-way, D-cache", "d", MultiWayStreamBufferSpec(4, 4)),
+]
 
-def _average_removal(traces, side: str, config: CacheConfig, make_buffer) -> float:
-    percents: List[float] = []
-    for trace in traces:
-        stream = trace.stream(side)
-        run = run_level(stream, config, make_buffer())
-        if run.misses == 0:
-            continue
-        percents.append(100.0 * run.removed / run.misses)
-    return sum(percents) / len(percents) if percents else 0.0
+
+def removal_curves(traces, configs: Sequence[CacheConfig]) -> Dict[str, List[float]]:
+    """Per curve, the benchmark-average percent of misses removed at each
+    config; benchmarks without misses on a side are left out."""
+    traces = list(traces)
+    points = [
+        (trace, SystemSpec.for_level(None, config, side=side, structure=buffer), LevelJob)
+        for config in configs
+        for _, side, buffer in CURVES
+        for trace in traces
+    ]
+    summaries = iter(run_points(points))
+    curves: Dict[str, List[float]] = {label: [] for label, _, _ in CURVES}
+    for _ in configs:
+        for label, _, _ in CURVES:
+            percents = [
+                100.0 * s.removed_misses / s.demand_misses
+                for s in islice(summaries, len(traces))
+                if s.demand_misses
+            ]
+            curves[label].append(sum(percents) / len(percents) if percents else 0.0)
+    return curves
 
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = traces if traces is not None else suite(scale, seed)
-    curves = {
-        "single, I-cache": [],
-        "single, D-cache": [],
-        "4-way, I-cache": [],
-        "4-way, D-cache": [],
-    }
-    for size_kb in CACHE_SIZES_KB:
-        config = CacheConfig(size_kb * 1024, 16)
-        curves["single, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: StreamBuffer(4))
-        )
-        curves["single, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: StreamBuffer(4))
-        )
-        curves["4-way, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
-        curves["4-way, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
+    curves = removal_curves(traces, [CacheConfig(size_kb * 1024, 16) for size_kb in CACHE_SIZES_KB])
     return FigureResult(
         experiment_id="figure_4_6",
         title="Stream buffer performance vs. cache size (16B lines)",

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers.stream_buffer import MultiWayStreamBuffer, StreamBuffer
 from ..common.config import CacheConfig
 from .base import FigureResult, Series
-from .figure_4_6 import _average_removal
+from .figure_4_6 import removal_curves
 from .workloads import suite
 
 __all__ = ["run", "LINE_SIZES"]
@@ -27,26 +26,7 @@ CACHE_BYTES = 4096
 
 def run(traces=None, scale: Optional[int] = None, seed: int = 0) -> FigureResult:
     traces = traces if traces is not None else suite(scale, seed)
-    curves = {
-        "single, I-cache": [],
-        "single, D-cache": [],
-        "4-way, I-cache": [],
-        "4-way, D-cache": [],
-    }
-    for line_size in LINE_SIZES:
-        config = CacheConfig(CACHE_BYTES, line_size)
-        curves["single, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: StreamBuffer(4))
-        )
-        curves["single, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: StreamBuffer(4))
-        )
-        curves["4-way, I-cache"].append(
-            _average_removal(traces, "i", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
-        curves["4-way, D-cache"].append(
-            _average_removal(traces, "d", config, lambda: MultiWayStreamBuffer(4, 4))
-        )
+    curves = removal_curves(traces, [CacheConfig(CACHE_BYTES, line) for line in LINE_SIZES])
     return FigureResult(
         experiment_id="figure_4_7",
         title="Stream buffer performance vs. line size (4KB caches)",

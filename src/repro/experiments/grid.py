@@ -26,7 +26,7 @@ parallelizable) or legacy zero-argument factories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..buffers.base import L1Augmentation
 from ..common.config import CacheConfig
@@ -96,83 +96,28 @@ class GridSpec:
         return len(self.cache_sizes_kb) * len(self.line_sizes) * len(self.structures)
 
 
-def _parallel_rows(
-    traces, spec: GridSpec, side: str, jobs: int, warn: bool = True, resilience=None
-) -> Optional[List[List]]:
-    """Grid rows via the engine, or None when the sweep is not job-able.
+def _structure_specs(spec: GridSpec, jobs: Optional[int]) -> Optional[Dict]:
+    """Declarative spec per structure label, or None if one has none.
 
-    Every grid point must be expressible as a picklable job: each trace
-    needs a workload spec (:func:`~repro.specs.workload_spec_of` — any
-    spec-built trace qualifies, registry or pattern) and each structure
-    axis value must be declarative — a
-    :class:`~repro.specs.StructureSpec`, or a factory whose product
-    :func:`~repro.specs.describe` can turn into one.  Anything else —
-    hand-built traces, structures holding live callables, unregistered
-    classes — falls back to the serial path, surfaced (when *warn* is
-    set, i.e. the caller actually asked for parallelism) as a
-    :class:`~repro.telemetry.core.ParallelFallbackWarning` plus a
-    ``fallback_reason`` entry on the active telemetry scope.
+    Structures holding live callables or of unregistered classes keep
+    the grid on live structures, reported when ``jobs > 1`` was asked for.
     """
-    from ..specs import SystemSpec, TraceSpec, unkeyed_reason
     from ..telemetry.core import record_fallback
-    from .engine import LevelJob, run_jobs
+    from .engine import resolve_jobs
 
-    trace_keys = [TraceSpec.of(trace) for trace in traces]
-    if any(key is None for key in trace_keys):
-        if warn:
-            reasons = [
-                unkeyed_reason(trace) for trace, key in zip(traces, trace_keys) if key is None
-            ]
-            record_fallback(
-                "sweep_grid",
-                f"trace(s) without a workload spec: {'; '.join(reasons)}",
-                stacklevel=4,
-            )
-        return None
-    structure_specs = {}
+    specs = {}
     for label, value in spec.structures.items():
         try:
-            structure_specs[label] = _spec_of_value(value)
+            specs[label] = _spec_of_value(value)
         except SpecError as exc:
-            if warn:
+            if resolve_jobs(jobs) > 1:
                 record_fallback(
                     "sweep_grid",
                     f"structure {label!r} cannot be described as a declarative spec: {exc}",
                     stacklevel=4,
                 )
             return None
-    job_list = []
-    points = []
-    for trace, key in zip(traces, trace_keys):
-        for size_kb in spec.cache_sizes_kb:
-            for line_size in spec.line_sizes:
-                config = CacheConfig(size_kb * 1024, line_size)
-                for label in spec.structures:
-                    job_list.append(
-                        LevelJob(
-                            SystemSpec.for_level(
-                                key,
-                                config,
-                                side=side,
-                                structure=structure_specs[label],
-                                warmup=spec.warmup,
-                            )
-                        )
-                    )
-                    points.append((trace.name, size_kb, line_size, label))
-    summaries = run_jobs(job_list, jobs=jobs, resilience=resilience)
-    return [
-        [
-            name,
-            size_kb,
-            line_size,
-            label,
-            round(summary.miss_rate, 4),
-            round(summary.percent_removed, 1),
-            round(summary.effective_miss_rate, 4),
-        ]
-        for (name, size_kb, line_size, label), summary in zip(points, summaries)
-    ]
+    return specs
 
 
 def sweep_grid(
@@ -189,51 +134,75 @@ def sweep_grid(
     % reaching the next level.  Suitable for pivoting/plotting by the
     caller; each row is one independent simulation.
 
-    With ``jobs > 1`` (or ``REPRO_JOBS`` set) the grid points fan out
-    over the parallel engine; row order and values are identical to the
-    serial sweep.  Traces without a registry recipe or structures the
-    engine cannot describe fall back to serial execution.  An active
-    result store also routes the grid through the engine at ``jobs=1``,
-    so every point is memoized — a repeated grid re-simulates nothing.
+    Every point is a :class:`~repro.experiments.engine.LevelJob` run
+    through :func:`~repro.experiments.base.run_points`: backend-
+    dispatched, memoized point by point in an active result store, and
+    fanned out over workers with ``jobs > 1`` (or ``REPRO_JOBS``), with
+    row order and values identical at any worker count.  Hand-made
+    traces replay inline; structures the engine cannot describe replay
+    as live structures.
     """
-    from ..store import current_store
-    from .engine import resolve_jobs
+    from ..specs import SystemSpec
+    from .base import run_points
+    from .engine import LevelJob
 
-    traces = list(traces)
-    rows: Optional[List[List]] = None
-    if resolve_jobs(jobs) > 1 or current_store() is not None:
-        rows = _parallel_rows(
-            traces,
-            spec,
-            side,
-            resolve_jobs(jobs),
-            warn=resolve_jobs(jobs) > 1,
-            resilience=resilience,
+    points = [
+        (trace, size_kb, line_size, label)
+        for trace in traces
+        for size_kb in spec.cache_sizes_kb
+        for line_size in spec.line_sizes
+        for label in spec.structures
+    ]
+    structures = _structure_specs(spec, jobs)
+    if structures is not None:
+        level_points = [
+            (
+                trace,
+                SystemSpec.for_level(
+                    None,
+                    CacheConfig(size_kb * 1024, line_size),
+                    side=side,
+                    structure=structures[label],
+                    warmup=spec.warmup,
+                ),
+                LevelJob,
+            )
+            for trace, size_kb, line_size, label in points
+        ]
+        summaries = run_points(
+            level_points, jobs=jobs, resilience=resilience, component="sweep_grid"
         )
-    if rows is None:
-        rows = []
-        for trace in traces:
-            addresses = trace.stream(side)
-            for size_kb in spec.cache_sizes_kb:
-                for line_size in spec.line_sizes:
-                    config = CacheConfig(size_kb * 1024, line_size)
-                    for label, value in spec.structures.items():
-                        augmentation = _build_structure_value(value)
-                        run = run_level(
-                            addresses, config, augmentation, warmup=spec.warmup
-                        )
-                        stats = run.stats
-                        rows.append(
-                            [
-                                trace.name,
-                                size_kb,
-                                line_size,
-                                label,
-                                round(stats.miss_rate, 4),
-                                round(percent(stats.removed_misses, stats.demand_misses), 1),
-                                round(stats.effective_miss_rate, 4),
-                            ]
-                        )
+        rates = [(s.miss_rate, s.percent_removed, s.effective_miss_rate) for s in summaries]
+    else:
+        rates = []
+        for trace, size_kb, line_size, label in points:
+            stats = run_level(
+                trace.stream(side),
+                CacheConfig(size_kb * 1024, line_size),
+                _build_structure_value(spec.structures[label]),
+                warmup=spec.warmup,
+            ).stats
+            rates.append(
+                (
+                    stats.miss_rate,
+                    percent(stats.removed_misses, stats.demand_misses),
+                    stats.effective_miss_rate,
+                )
+            )
+    rows = [
+        [
+            trace.name,
+            size_kb,
+            line_size,
+            label,
+            round(miss_rate, 4),
+            round(removed, 1),
+            round(effective, 4),
+        ]
+        for (trace, size_kb, line_size, label), (miss_rate, removed, effective) in zip(
+            points, rates
+        )
+    ]
     return TableResult(
         experiment_id=experiment_id,
         title=f"design-space grid sweep ({side}-side, {spec.num_points} points/trace)",

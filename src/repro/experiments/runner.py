@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..buffers.base import L1Augmentation
 from ..common.config import CacheConfig, SystemConfig
@@ -19,7 +19,7 @@ from ..hierarchy.system import MemorySystem, SystemResult
 from ..telemetry.core import current as _telemetry_scope
 from ..traces.trace import MaterializedTrace
 
-__all__ = ["LevelRun", "run_level", "run_system", "baseline_conflicts"]
+__all__ = ["LevelRun", "run_level", "run_system"]
 
 
 @dataclass
@@ -119,9 +119,3 @@ def run_system(
         system.prewarm_l2(trace)
     return system.run(trace)
 
-
-def baseline_conflicts(
-    byte_addresses: Iterable[int], config: CacheConfig
-) -> LevelRun:
-    """Baseline replay with 3C classification (misses + conflict count)."""
-    return run_level(byte_addresses, config, None, classify=True)

@@ -29,13 +29,22 @@ seeds per worker) evict the least recently used trace instead of growing
 worker memory without limit.  The cap defaults to holding one full
 benchmark suite plus an extension and can be tuned with the
 ``REPRO_TRACE_CACHE`` environment variable (minimum 1).
+
+Next to the LRU sits a weak-value index of every trace the memo has
+seen, so a lookup still finds a trace that someone else holds — a
+caller's suite, an engine worker's warm set — instead of rebuilding it.
+The index holds no strong references, and a trace found only through it
+takes no LRU slot: memory stays bounded by the LRU plus what callers
+keep alive.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from collections import OrderedDict
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.errors import ConfigurationError
 from ..specs.workloads import NamedWorkloadSpec, WorkloadSpec
@@ -45,9 +54,10 @@ from ..traces.trace import MaterializedTrace
 __all__ = [
     "suite",
     "materialized_workload",
+    "materialized_workloads",
     "seed_materialized_workload",
+    "lent_workloads",
     "materialized_trace",
-    "seed_materialized_trace",
     "default_scale",
     "validate_scale",
     "trace_cache_cap",
@@ -58,6 +68,10 @@ __all__ = [
 DEFAULT_TRACE_CACHE_CAP = 8
 
 _TRACE_CACHE: "OrderedDict[WorkloadSpec, MaterializedTrace]" = OrderedDict()
+#: Every trace the memo has seen that is still referenced somewhere.
+_LIVE: "weakref.WeakValueDictionary[WorkloadSpec, MaterializedTrace]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def default_scale() -> Optional[int]:
@@ -106,41 +120,60 @@ def trace_cache_cap() -> int:
         return DEFAULT_TRACE_CACHE_CAP
 
 
-def materialized_workload(spec: WorkloadSpec) -> MaterializedTrace:
-    """One materialized trace, memoized per resolved workload spec.
-
-    The memo holds at most :func:`trace_cache_cap` traces, evicting the
-    least recently used entry when a new trace would overflow it.
-    """
-    key = spec.resolve()
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = key.build().materialize()
-        cap = trace_cache_cap()
-        while len(_TRACE_CACHE) >= cap:
-            _TRACE_CACHE.popitem(last=False)
-        _TRACE_CACHE[key] = trace
-    else:
+def _cached(key: WorkloadSpec) -> Optional[MaterializedTrace]:
+    """The memoized trace for a resolved key, or None; never builds."""
+    if key in _TRACE_CACHE:
         _TRACE_CACHE.move_to_end(key)
-    return trace
+    return _LIVE.get(key)
 
 
 def seed_materialized_workload(spec: WorkloadSpec, trace: MaterializedTrace) -> None:
-    """Pre-seed the memo with an already-materialized trace.
-
-    Used by engine worker initializers that receive packed trace buffers
-    through shared memory: seeding the memo means later jobs in the
-    worker never replay the generator.  Uses the same key resolution
-    (:meth:`WorkloadSpec.resolve`) and LRU bound as
-    :func:`materialized_workload`.
-    """
+    """Make *trace* the memo's most recent entry for *spec*, evicting to the cap."""
     key = spec.resolve()
     if key not in _TRACE_CACHE:
-        cap = trace_cache_cap()
-        while len(_TRACE_CACHE) >= cap:
+        while len(_TRACE_CACHE) >= trace_cache_cap():
             _TRACE_CACHE.popitem(last=False)
-    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE[key] = _LIVE[key] = trace
     _TRACE_CACHE.move_to_end(key)
+
+
+def materialized_workload(spec: WorkloadSpec) -> MaterializedTrace:
+    """One materialized trace, memoized per resolved workload spec."""
+    key = spec.resolve()
+    trace = _cached(key)
+    if trace is None:
+        trace = key.build().materialize()
+        seed_materialized_workload(key, trace)
+    return trace
+
+
+def materialized_workloads(specs: Sequence[WorkloadSpec]) -> List[MaterializedTrace]:
+    """Materialize *specs*, holding every cached one before building any,
+    so a build cannot evict (and force a rebuild of) another of them."""
+    found = [_cached(spec.resolve()) for spec in specs]
+    return [
+        materialized_workload(spec) if trace is None else trace
+        for spec, trace in zip(specs, found)
+    ]
+
+
+@contextmanager
+def lent_workloads(pairs: Sequence[Tuple[WorkloadSpec, MaterializedTrace]]):
+    """Index caller-held ``(spec, trace)`` pairs for the span of a batch.
+
+    Engine jobs naming a spec then replay the caller's trace instead of
+    rebuilding it.  On exit, any of them in the LRU moves to its cold
+    end: the caller keeps it alive, so its slot goes first.
+    """
+    held = [(spec.resolve(), trace) for spec, trace in pairs]
+    for key, trace in held:
+        _LIVE.setdefault(key, trace)
+    try:
+        yield
+    finally:
+        for key, trace in held:
+            if _TRACE_CACHE.get(key) is trace:
+                _TRACE_CACHE.move_to_end(key, last=False)
 
 
 def materialized_trace(
@@ -148,13 +181,6 @@ def materialized_trace(
 ) -> MaterializedTrace:
     """One materialized benchmark trace by registry name (compat wrapper)."""
     return materialized_workload(NamedWorkloadSpec(name=name, scale=scale, seed=seed))
-
-
-def seed_materialized_trace(
-    name: str, scale: Optional[int], seed: int, trace: MaterializedTrace
-) -> None:
-    """Pre-seed the memo by registry name (compat wrapper)."""
-    seed_materialized_workload(NamedWorkloadSpec(name=name, scale=scale, seed=seed), trace)
 
 
 def suite(scale: Optional[int] = None, seed: int = 0) -> List[MaterializedTrace]:

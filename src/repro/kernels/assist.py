@@ -423,10 +423,56 @@ def entry_sweep(byte_addresses, config: CacheConfig, kind: str, max_entries: int
     )
 
 
+def _observe_sweep(scope, started: float, accesses: int, misses: int, removed: int,
+                   counter: str) -> None:
+    """Telemetry for a sweep, as the interpreter's tracked-structure run counts it."""
+    stats = LevelStats()
+    stats.accesses, stats.hits = accesses, accesses - misses
+    setattr(stats, counter, removed)
+    stats.misses_to_next_level = misses - removed
+    scope.observe_level_run(stats, perf_counter() - started)
+
+
 def entry_sweep_summary(system, kind: str, max_entries: int):
     """Vectorized :class:`~repro.experiments.engine.EntrySweepJob` body."""
+    from dataclasses import replace
+
+    scope = _telemetry_scope()
+    started = perf_counter() if scope is not None else 0.0
     addresses = stream_array(system.trace.trace(), system.side)
-    return entry_sweep(addresses, system.cache_config, kind, max_entries)
+    # One capacity past the sweep: the interpreter's tracked structure
+    # holds max_entries + 1 lines, and its hits are what telemetry counts.
+    sweep = entry_sweep(addresses, system.cache_config, kind, max_entries + 1)
+    if scope is not None:
+        counter = "miss_cache_hits" if kind == "miss" else "victim_hits"
+        _observe_sweep(scope, started, len(addresses), sweep.total_misses,
+                       sweep.hits_by_entries[-1], counter)
+    return replace(sweep, hits_by_entries=sweep.hits_by_entries[:-1])
+
+
+def _run_length_sweep(byte_addresses, config: CacheConfig, ways: int, entries: int,
+                      max_run: int):
+    """``(RunLengthSweep, buffer hits at any run offset)``."""
+    from ..buffers.stream_buffer import MultiWayStreamBuffer
+    from ..experiments.sweeps import RunLengthSweep
+
+    addresses = np.asarray(byte_addresses, dtype=_INT64)
+    lines = addresses >> config.offset_bits
+    ms = extract_miss_stream(lines, config.num_lines)
+    if ways == 1:
+        sb_hit, offset = _stream_buffer_hits(ms.miss_lines, None)
+        hit_offsets = offset[sb_hit] - 1
+        removed = _count_at_most(hit_offsets, max_run)
+        hits = len(hit_offsets)
+    else:
+        buffer = MultiWayStreamBuffer(
+            ways=ways, entries=entries, track_run_offsets=True
+        )
+        _replay_structure(buffer, ms, 0)
+        offsets = buffer.run_offsets
+        removed = [offsets.count_at_most(k) for k in range(max_run + 1)]
+        hits = offsets.total()
+    return RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed), hits
 
 
 def run_length_sweep(
@@ -438,26 +484,15 @@ def run_length_sweep(
     multi-way buffers replay the miss stream through the live structure
     and read its run-offset histogram.
     """
-    from ..buffers.stream_buffer import MultiWayStreamBuffer
-    from ..experiments.sweeps import RunLengthSweep
-
-    addresses = np.asarray(byte_addresses, dtype=_INT64)
-    lines = addresses >> config.offset_bits
-    ms = extract_miss_stream(lines, config.num_lines)
-    if ways == 1:
-        sb_hit, offset = _stream_buffer_hits(ms.miss_lines, None)
-        removed = _count_at_most(offset[sb_hit] - 1, max_run)
-    else:
-        buffer = MultiWayStreamBuffer(
-            ways=ways, entries=entries, track_run_offsets=True
-        )
-        _replay_structure(buffer, ms, 0)
-        offsets = buffer.run_offsets
-        removed = [offsets.count_at_most(k) for k in range(max_run + 1)]
-    return RunLengthSweep(total_misses=len(ms.positions), removed_by_run=removed)
+    return _run_length_sweep(byte_addresses, config, ways, entries, max_run)[0]
 
 
 def run_length_sweep_summary(system, ways: int, entries: int, max_run: int):
     """Vectorized :class:`~repro.experiments.engine.RunSweepJob` body."""
+    scope = _telemetry_scope()
+    started = perf_counter() if scope is not None else 0.0
     addresses = stream_array(system.trace.trace(), system.side)
-    return run_length_sweep(addresses, system.cache_config, ways, entries, max_run)
+    sweep, hits = _run_length_sweep(addresses, system.cache_config, ways, entries, max_run)
+    if scope is not None:
+        _observe_sweep(scope, started, len(addresses), sweep.total_misses, hits, "stream_hits")
+    return sweep

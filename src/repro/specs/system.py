@@ -86,8 +86,10 @@ class SystemSpec:
         """Spec for a single-level replay, or None for an unkeyed trace.
 
         ``trace`` may be any :class:`WorkloadSpec` (named, pattern, or
-        mix), or a materialized trace whose spec is recovered via
-        :func:`~repro.specs.workloads.workload_spec_of`.  ``structure``
+        mix), a materialized trace whose spec is recovered via
+        :func:`~repro.specs.workloads.workload_spec_of`, or None for a
+        config-only point that a live trace fills in later (see
+        :func:`repro.experiments.base.run_points`).  ``structure``
         may be a live structure (described on the spot) or already a
         spec.  The L2 line size is widened to the L1 line when the
         sweep's geometry exceeds the baseline L2 line — single-level
@@ -95,7 +97,7 @@ class SystemSpec:
         (L2 line >= L1 line) matters.
         """
         trace_spec = trace if isinstance(trace, WorkloadSpec) else workload_spec_of(trace)
-        if trace_spec is None:
+        if trace_spec is None and trace is not None:
             return None
         structure_spec = (
             structure if structure is None or isinstance(structure, StructureSpec)

@@ -367,12 +367,98 @@ class TestTraceCacheCap:
     def test_memo_evicts_least_recently_used(self, monkeypatch):
         from repro.experiments import workloads
 
+        import gc
+        import weakref
+
         monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
         monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
+        monkeypatch.setattr(workloads, "_LIVE", weakref.WeakValueDictionary())
         a = workloads.materialized_trace("ccom", 1_000)
-        b = workloads.materialized_trace("liver", 1_000)
+        # Only a weak handle on liver: once evicted, nothing holds it.
+        b = weakref.ref(workloads.materialized_trace("liver", 1_000))
         assert workloads.materialized_trace("ccom", 1_000) is a  # refreshes ccom
         workloads.materialized_trace("linpack", 1_000)  # evicts liver
+        gc.collect()
+        assert b() is None
         assert workloads.materialized_trace("ccom", 1_000) is a
-        assert workloads.materialized_trace("liver", 1_000) is not b
         assert len(workloads._TRACE_CACHE) == 2
+
+
+class TestTraceMemoWeakIndex:
+    """Traces someone still holds are found, never rebuilt; dropped ones go."""
+
+    CAP = 2
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        import weakref
+
+        from repro.experiments import workloads
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(self.CAP))
+        monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
+        monkeypatch.setattr(workloads, "_LIVE", weakref.WeakValueDictionary())
+        return workloads
+
+    def _other_builds(self, memo, count):
+        from repro.specs import SequentialSpec
+
+        for seed in range(count):
+            memo.materialized_workload(SequentialSpec(length=256, seed=seed))
+
+    def test_held_trace_survives_twice_cap_other_builds(self, memo):
+        held = memo.materialized_trace("ccom", 1_000)
+        self._other_builds(memo, 2 * self.CAP)
+        assert TraceSpec("ccom", 1_000).resolve() not in memo._TRACE_CACHE
+        assert memo.materialized_trace("ccom", 1_000) is held
+        assert len(memo._TRACE_CACHE) == self.CAP
+
+    def test_dropped_trace_is_collected(self, memo):
+        import gc
+        import weakref
+
+        dropped = weakref.ref(memo.materialized_trace("ccom", 1_000))
+        self._other_builds(memo, 2 * self.CAP)
+        gc.collect()
+        assert dropped() is None
+        assert len(memo._LIVE) == self.CAP  # only what the LRU still holds
+
+    def test_batch_lookup_holds_cached_traces_before_building(self, memo):
+        specs = [TraceSpec(name, 1_000) for name in ("ccom", "liver", "linpack")]
+        cached = [memo.materialized_workload(spec) for spec in specs[1:]]
+        ids = [id(trace) for trace in cached]
+        del cached
+        # Building ccom evicts liver from the two-slot LRU, but the
+        # batch already holds it: nothing it needs is rebuilt.
+        traces = memo.materialized_workloads(specs)
+        assert [id(trace) for trace in traces[1:]] == ids
+
+    def test_lent_traces_are_found_and_give_up_their_slot_first(self, memo):
+        from repro.traces.registry import build_trace
+
+        spec = TraceSpec("ccom", 1_000)
+        lent = build_trace("ccom", 1_000).materialize()  # built outside the memo
+        with memo.lent_workloads([(spec, lent)]):
+            assert memo.materialized_trace("ccom", 1_000) is lent
+        other = memo.materialized_trace("liver", 1_000)
+        memo.seed_materialized_workload(spec, lent)  # the most recent LRU entry
+        with memo.lent_workloads([(spec, lent)]):
+            pass
+        self._other_builds(memo, 1)  # evicts the lent ccom, not the older liver
+        assert spec.resolve() not in memo._TRACE_CACHE
+        assert memo.materialized_trace("liver", 1_000) is other
+        assert memo.materialized_trace("ccom", 1_000) is lent
+
+    def test_pool_warm_set_outlives_the_lru(self, memo):
+        from repro.experiments import engine
+
+        specs = tuple(TraceSpec(name, 1_000) for name in ("ccom", "liver", "linpack"))
+        try:
+            engine._warm_worker(specs)
+            self._other_builds(memo, 2 * self.CAP)
+            assert [spec.trace() for spec in specs] == list(engine._WORKER_TRACES)
+            assert all(
+                spec.trace() is held for spec, held in zip(specs, engine._WORKER_TRACES)
+            )
+        finally:
+            engine._WORKER_TRACES = ()
