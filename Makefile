@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments check report clean
+.PHONY: install test bench experiments check report loc clean
 
 install:
 	$(PYTHON) -m pip install -e .[test] || $(PYTHON) setup.py develop
@@ -21,6 +21,10 @@ check:
 
 report:
 	$(PYTHON) -m repro.experiments.cli --report report.md
+
+# Line count of the package source, the size figure ROADMAP.md tracks.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

@@ -70,12 +70,12 @@ from .specs import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
     MultiWayStrideBufferSpec,
+    NamedWorkloadSpec,
     SpecError,
     StreamBufferSpec,
     StrideBufferSpec,
     StructureSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
     build,
     describe,
@@ -144,7 +144,7 @@ __all__ = [
     "StrideBufferSpec",
     "MultiWayStrideBufferSpec",
     "CompositeSpec",
-    "TraceSpec",
+    "NamedWorkloadSpec",
     "SystemSpec",
     "build",
     "describe",

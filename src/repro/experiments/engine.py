@@ -35,9 +35,7 @@ Job kinds
 Each job carries a :class:`~repro.specs.SystemSpec` — a frozen,
 picklable description of trace, geometry, and helper structure — so
 *every* registered structure configuration fans out, default options or
-not.  The legacy string codes (``"mc4"``, ``"vc4"``, ``"sb4"``,
-``"sb4x4"``) survive as deprecated shims over
-:func:`repro.specs.parse_structure_code`.
+not.
 """
 
 from __future__ import annotations
@@ -54,21 +52,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..buffers.base import L1Augmentation
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
 from ..kernels import MISS_REPLAY, NUMPY, kernel_mode, select_backend
-from ..specs import (
-    SpecError,
-    SystemSpec,
-    TraceSpec,
-    WorkloadSpec,
-    describe,
-    parse_structure_code,
-)
-from ..specs import build as build_spec
-from ..specs import spec_hash
-from ..specs import structure_code as _structure_code
+from ..specs import NamedWorkloadSpec, SystemSpec, WorkloadSpec, spec_hash
 from ..store import ResultKey, current_store
 from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
 from ..telemetry.core import current as _telemetry_scope
@@ -82,7 +69,6 @@ from .sweeps import (
 from .workloads import BENCHMARK_NAMES, suite
 
 __all__ = [
-    "TraceKey",
     "LevelJob",
     "LevelSummary",
     "EntrySweepJob",
@@ -94,8 +80,6 @@ __all__ = [
     "JobFailedError",
     "ENV_JOB_TIMEOUT",
     "ENV_RETRIES",
-    "build_structure",
-    "spec_of",
     "default_jobs",
     "resolve_jobs",
     "validate_jobs",
@@ -107,54 +91,6 @@ __all__ = [
     "run_jobs",
     "run_experiments",
 ]
-
-
-# -- trace identity -----------------------------------------------------------
-
-#: Identity of a registry trace: enough to rebuild it anywhere.  Now an
-#: alias of :class:`repro.specs.TraceSpec`; the engine historically
-#: called it a TraceKey and tests/callers may keep using that name.
-TraceKey = TraceSpec
-
-
-# -- legacy structure codes (deprecated shims) --------------------------------
-
-
-def build_structure(spec: Optional[str]) -> Optional[L1Augmentation]:
-    """Deprecated: build a helper structure from its legacy string code.
-
-    Use :func:`repro.specs.build` with a
-    :class:`~repro.specs.StructureSpec` instead; this shim parses the
-    code into a spec and builds it.
-    """
-    warnings.warn(
-        "build_structure(code) is deprecated; use repro.specs.build("
-        "parse_structure_code(code)) or construct a StructureSpec directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_spec(parse_structure_code(spec))
-
-
-def spec_of(structure: Optional[L1Augmentation]) -> Optional[str]:
-    """Deprecated: legacy string code for a default-option structure.
-
-    Use :func:`repro.specs.describe`, which returns a full
-    :class:`~repro.specs.StructureSpec` for *any* registered structure.
-    This shim preserves the old contract: the short code for structures
-    built with the paper's default options, None for everything else.
-    """
-    warnings.warn(
-        "spec_of(structure) is deprecated; use repro.specs.describe(structure), "
-        "which covers non-default options too",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        spec = describe(structure)
-    except SpecError:
-        return None
-    return _structure_code(spec)
 
 
 # -- jobs ---------------------------------------------------------------------
@@ -1306,7 +1242,7 @@ def run_experiments(
         # memory via the initializer (or rebuild once per worker when
         # shared memory is unavailable).
         suite(scale, seed)
-        suite_keys = tuple(TraceKey(name, scale, seed) for name in BENCHMARK_NAMES)
+        suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
         initializer, initargs, segments, note = _pool_setup(suite_keys)
         try:
             computed, failures = _execute_entries(

@@ -18,39 +18,31 @@ a designer points at their own workload after reading the paper.
     )
     table = sweep_grid(traces, spec, side="d")
 
-Structure axis values are declarative :class:`~repro.specs.StructureSpec`
-instances (preferred — any registered structure, any options, always
-parallelizable) or legacy zero-argument factories.
+Structure axis values are None (the bare baseline) or declarative
+:class:`~repro.specs.StructureSpec` instances — any registered
+structure, any options, always parallelizable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
-from ..buffers.base import L1Augmentation
 from ..common.config import CacheConfig
 from ..common.errors import ConfigurationError
-from ..common.stats import percent
 from ..specs import (
     MultiWayStreamBufferSpec,
-    SpecError,
     StreamBufferSpec,
     StructureSpec,
     VictimCacheSpec,
-    build,
-    describe,
 )
 from .base import TableResult
-from .runner import run_level
 
 __all__ = ["GridSpec", "sweep_grid", "default_structures"]
 
-#: A structure axis value: None (bare baseline), a declarative
-#: :class:`~repro.specs.StructureSpec` (preferred — always job-able), or
-#: a zero-argument factory returning a live structure (legacy style;
-#: job-able only when the built structure is spec-describable).
-StructureFactory = Union[None, StructureSpec, Callable[[], L1Augmentation]]
+#: A structure axis value: None (bare baseline) or a declarative
+#: :class:`~repro.specs.StructureSpec`.
+StructureFactory = Optional[StructureSpec]
 
 
 def default_structures() -> Dict[str, StructureFactory]:
@@ -61,20 +53,6 @@ def default_structures() -> Dict[str, StructureFactory]:
         "sb1x4": StreamBufferSpec(4),
         "sb4x4": MultiWayStreamBufferSpec(4, 4),
     }
-
-
-def _build_structure_value(value: StructureFactory) -> Optional[L1Augmentation]:
-    """Live structure for one axis value (spec, factory, or None)."""
-    if value is None or isinstance(value, StructureSpec):
-        return build(value)
-    return value()
-
-
-def _spec_of_value(value: StructureFactory) -> Optional[StructureSpec]:
-    """Declarative spec for one axis value, raising SpecError if none exists."""
-    if value is None or isinstance(value, StructureSpec):
-        return value
-    return describe(value())
 
 
 @dataclass
@@ -90,34 +68,16 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.cache_sizes_kb or not self.line_sizes or not self.structures:
             raise ConfigurationError("every grid axis needs at least one point")
+        for label, value in self.structures.items():
+            if value is not None and not isinstance(value, StructureSpec):
+                raise ConfigurationError(
+                    f"structure {label!r} must be None or a StructureSpec, "
+                    f"got {type(value).__name__}"
+                )
 
     @property
     def num_points(self) -> int:
         return len(self.cache_sizes_kb) * len(self.line_sizes) * len(self.structures)
-
-
-def _structure_specs(spec: GridSpec, jobs: Optional[int]) -> Optional[Dict]:
-    """Declarative spec per structure label, or None if one has none.
-
-    Structures holding live callables or of unregistered classes keep
-    the grid on live structures, reported when ``jobs > 1`` was asked for.
-    """
-    from ..telemetry.core import record_fallback
-    from .engine import resolve_jobs
-
-    specs = {}
-    for label, value in spec.structures.items():
-        try:
-            specs[label] = _spec_of_value(value)
-        except SpecError as exc:
-            if resolve_jobs(jobs) > 1:
-                record_fallback(
-                    "sweep_grid",
-                    f"structure {label!r} cannot be described as a declarative spec: {exc}",
-                    stacklevel=4,
-                )
-            return None
-    return specs
 
 
 def sweep_grid(
@@ -139,8 +99,7 @@ def sweep_grid(
     dispatched, memoized point by point in an active result store, and
     fanned out over workers with ``jobs > 1`` (or ``REPRO_JOBS``), with
     row order and values identical at any worker count.  Hand-made
-    traces replay inline; structures the engine cannot describe replay
-    as live structures.
+    traces replay inline.
     """
     from ..specs import SystemSpec
     from .base import run_points
@@ -153,55 +112,34 @@ def sweep_grid(
         for line_size in spec.line_sizes
         for label in spec.structures
     ]
-    structures = _structure_specs(spec, jobs)
-    if structures is not None:
-        level_points = [
-            (
-                trace,
-                SystemSpec.for_level(
-                    None,
-                    CacheConfig(size_kb * 1024, line_size),
-                    side=side,
-                    structure=structures[label],
-                    warmup=spec.warmup,
-                ),
-                LevelJob,
-            )
-            for trace, size_kb, line_size, label in points
-        ]
-        summaries = run_points(
-            level_points, jobs=jobs, resilience=resilience, component="sweep_grid"
-        )
-        rates = [(s.miss_rate, s.percent_removed, s.effective_miss_rate) for s in summaries]
-    else:
-        rates = []
-        for trace, size_kb, line_size, label in points:
-            stats = run_level(
-                trace.stream(side),
+    level_points = [
+        (
+            trace,
+            SystemSpec.for_level(
+                None,
                 CacheConfig(size_kb * 1024, line_size),
-                _build_structure_value(spec.structures[label]),
+                side=side,
+                structure=spec.structures[label],
                 warmup=spec.warmup,
-            ).stats
-            rates.append(
-                (
-                    stats.miss_rate,
-                    percent(stats.removed_misses, stats.demand_misses),
-                    stats.effective_miss_rate,
-                )
-            )
+            ),
+            LevelJob,
+        )
+        for trace, size_kb, line_size, label in points
+    ]
+    summaries = run_points(
+        level_points, jobs=jobs, resilience=resilience, component="sweep_grid"
+    )
     rows = [
         [
             trace.name,
             size_kb,
             line_size,
             label,
-            round(miss_rate, 4),
-            round(removed, 1),
-            round(effective, 4),
+            round(summary.miss_rate, 4),
+            round(summary.percent_removed, 1),
+            round(summary.effective_miss_rate, 4),
         ]
-        for (trace, size_kb, line_size, label), (miss_rate, removed, effective) in zip(
-            points, rates
-        )
+        for (trace, size_kb, line_size, label), summary in zip(points, summaries)
     ]
     return TableResult(
         experiment_id=experiment_id,

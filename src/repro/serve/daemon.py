@@ -347,14 +347,9 @@ class CacheAdvisorDaemon:
     async def _advise(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool = False
     ) -> bool:
-        cached = await self.service.cached_bad_request(request.body)
-        if cached is not None:
-            await send_json(writer, 400, {"error": cached}, keep_alive=keep_alive)
-            return False
         try:
             query = parse_query(request.json())
         except (HttpError, BadRequestError) as exc:
-            await self.service.record_bad_request(request.body, str(exc))
             await send_json(writer, 400, {"error": str(exc)}, keep_alive=keep_alive)
             return False
         if query.stream:

@@ -35,7 +35,7 @@ with a socket:
 from __future__ import annotations
 
 import asyncio
-import hashlib
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -45,16 +45,16 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 from ..common.config import baseline_system
 from ..common.errors import ConfigurationError, UnknownWorkloadError
 from ..specs import (
+    NamedWorkloadSpec,
     SpecError,
     SystemSpec,
-    TraceSpec,
     parse_structure_code,
     spec_hash,
     workload_from_dict,
 )
 from ..specs.structures import structure_from_dict
 from ..store import ResultKey, ResultStore, current_store
-from ..store.codec import BadQuery, encode_result
+from ..store.codec import encode_result
 from ..traces.registry import get_workload
 from ..experiments.engine import (
     LevelJob,
@@ -153,7 +153,7 @@ class ServingCounters:
 
     __slots__ = (
         "requests", "warm_hits", "cold_misses", "coalesced",
-        "rejected", "failed", "streams", "negative_hits",
+        "rejected", "failed", "streams",
         "deadline_expired", "breaker_fastfail", "breaker_opens",
         "store_errors", "degraded_serves", "drain_rejects",
     )
@@ -166,7 +166,6 @@ class ServingCounters:
         self.rejected = 0
         self.failed = 0
         self.streams = 0
-        self.negative_hits = 0
         # Resilience-layer outcomes (PR 10): requests answered 504 by a
         # deadline budget, cold dispatches refused by the open breaker,
         # breaker open transitions, store failures absorbed, requests
@@ -316,8 +315,10 @@ def parse_query(payload: object) -> AdviseQuery:
         raw_deadline = payload["deadline_ms"]
         if isinstance(raw_deadline, bool) or not isinstance(raw_deadline, (int, float)):
             raise BadRequestError("deadline_ms must be a number of milliseconds")
-        if raw_deadline <= 0:
-            raise BadRequestError(f"deadline_ms must be positive, got {raw_deadline}")
+        if not math.isfinite(raw_deadline) or raw_deadline <= 0:
+            raise BadRequestError(
+                f"deadline_ms must be a positive finite number, got {raw_deadline}"
+            )
         deadline_s = float(raw_deadline) / 1000.0
     try:
         if "spec" in payload:
@@ -330,7 +331,7 @@ def parse_query(payload: object) -> AdviseQuery:
         raise
     except (ConfigurationError, SpecError, KeyError, TypeError, ValueError) as exc:
         raise BadRequestError(f"invalid query: {exc}") from None
-    if isinstance(spec.trace, TraceSpec):
+    if isinstance(spec.trace, NamedWorkloadSpec):
         # Registry references are validated up front so an unknown name
         # is a 400, not a failed cold simulation.
         try:
@@ -485,43 +486,6 @@ class AdvisorService:
         ]
         return min(budgets) if budgets else None
 
-    # -- the negative cache ----------------------------------------------------
-    #
-    # Malformed and unsatisfiable bodies are memoized too: parsing is
-    # cheap, but some rejections are not (an unknown workload name, a
-    # structure code that fails validation), and a misconfigured client
-    # retries the *same bytes* in a tight loop.  The key is the hash of
-    # the raw body, so the cache can be consulted before any parsing.
-
-    @staticmethod
-    def _bad_request_key(body: bytes) -> ResultKey:
-        return ResultKey(
-            job_kind="bad-query",
-            spec_hash=hashlib.sha256(body).hexdigest(),
-            trace_fingerprint="-",
-        )
-
-    async def cached_bad_request(self, body: bytes) -> Optional[str]:
-        """The memoized 400 message for this exact body, or None."""
-        loop = asyncio.get_running_loop()
-        cached, _nbytes = await loop.run_in_executor(
-            self._lookup_pool, self.guarded_store.get, self._bad_request_key(body)
-        )
-        if isinstance(cached, BadQuery):
-            self.counters.negative_hits += 1
-            return cached.error
-        return None
-
-    async def record_bad_request(self, body: bytes, message: str) -> None:
-        """Memoize a rejection so retries of the same body skip parsing."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._lookup_pool,
-            self.guarded_store.put,
-            self._bad_request_key(body),
-            BadQuery(error=message),
-        )
-
     # -- the request path ------------------------------------------------------
 
     async def advise(self, query: AdviseQuery) -> Dict[str, object]:
@@ -672,7 +636,7 @@ class AdvisorService:
         """
         job = LevelJob(spec)
         key = _store_key(job)
-        assert key is not None  # LevelJob with a TraceSpec is always keyable
+        assert key is not None  # LevelJob with a workload spec is always keyable
         cached, _nbytes = self.guarded_store.get(key)
         return job, key, cached
 

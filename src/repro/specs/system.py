@@ -9,11 +9,6 @@ worker processes.  :class:`SystemSpec` combines a workload spec, a
 picklable value that fully determines a simulation run.  Canonical JSON
 via :meth:`SystemSpec.to_json` is what telemetry hashes and embeds, so a
 run record carries everything needed to replay the run.
-
-``TraceSpec`` — the old name-keyed trace reference — is now an alias of
-:class:`~repro.specs.workloads.NamedWorkloadSpec`, field for field
-compatible (``(name, scale, seed)``), and its ``of`` classmethod now
-recovers *any* spec-built trace, not just registry ones.
 """
 
 from __future__ import annotations
@@ -26,15 +21,11 @@ from typing import Dict, Mapping, Optional
 from ..common.config import BASELINE_L2_LINE, CacheConfig, SystemConfig, baseline_system
 from ..common.errors import ConfigurationError
 from .structures import SpecError, StructureSpec, describe, structure_from_dict
-from .workloads import NamedWorkloadSpec, WorkloadSpec, workload_from_dict, workload_spec_of
+from .workloads import WorkloadSpec, workload_from_dict, workload_spec_of
 
-__all__ = ["TraceSpec", "SystemSpec", "spec_hash"]
+__all__ = ["SystemSpec", "spec_hash"]
 
 _SIDES = ("i", "d")
-
-#: Backward-compatible name: the registry-trace reference is now one
-#: kind ("named") in the workload-spec hierarchy.
-TraceSpec = NamedWorkloadSpec
 
 
 @dataclass(frozen=True)

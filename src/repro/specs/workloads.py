@@ -1,15 +1,14 @@
 """Declarative workload specs: trace identity beyond the name registry.
 
-Until PR 8 a trace's identity was a *registry name*: ``TraceSpec``
-was ``(name, scale, seed)``, and anything not built through
-:mod:`repro.traces.registry` was invisible to the parallel engine, the
-result store, and the serve daemon.  This module refactors trace
-identity into the same shape structures got in PR 3 — a kind-tagged
-hierarchy of frozen, hashable, picklable specs with canonical JSON:
+A trace's identity is a spec, not just a *registry name*, so traces
+built outside :mod:`repro.traces.registry` reach the parallel engine,
+the result store, and the serve daemon too.  Trace identity has the
+same shape as structure identity — a kind-tagged hierarchy of frozen,
+hashable, picklable specs with canonical JSON:
 
 * :class:`NamedWorkloadSpec` (kind ``"named"``) wraps the registry
-  losslessly — it *is* the old ``TraceSpec``, field for field, and
-  legacy kind-less ``{"name", "scale", "seed"}`` payloads still parse;
+  losslessly as ``(name, scale, seed)``, and kind-less
+  ``{"name", "scale", "seed"}`` payloads still parse;
 * the parameterized pattern specs (:class:`ZipfianSpec`,
   :class:`HotspotSpec`, :class:`BurstySpec`, :class:`PointerChaseSpec`,
   :class:`SequentialSpec`, :class:`UniformRandomSpec`) build finite
@@ -248,9 +247,9 @@ class WorkloadSpec:
 def workload_from_dict(payload: Mapping) -> WorkloadSpec:
     """Spec instance from a kind-tagged dict (inverse of ``as_dict``).
 
-    Legacy kind-less payloads with a ``"name"`` key — the old
-    ``TraceSpec`` wire shape, still present in stored telemetry records
-    — parse as :class:`NamedWorkloadSpec`.
+    Kind-less payloads with a ``"name"`` key — the registry-reference
+    wire shape still present in older stored telemetry records — parse
+    as :class:`NamedWorkloadSpec`.
     """
     if not isinstance(payload, Mapping):
         raise SpecError(f"workload spec payload must be a mapping, got {payload!r}")
@@ -361,9 +360,9 @@ def unkeyed_reason(trace) -> str:
 class NamedWorkloadSpec(WorkloadSpec):
     """Reference to a registry workload trace: (name, scale, seed).
 
-    This is the old ``TraceSpec``, field for field — ``scale=None``
-    means "the ambient default scale", resolved against ``REPRO_SCALE``
-    by :meth:`resolve` exactly like the engine's per-worker memo key.
+    ``scale=None`` means "the ambient default scale", resolved against
+    ``REPRO_SCALE`` by :meth:`resolve` exactly like the engine's
+    per-worker memo key.
     """
 
     kind: ClassVar[str] = "named"

@@ -2,8 +2,8 @@
 
 The contract under test: a parallel run (``jobs > 1``) must be
 row-for-row and byte-for-byte identical to the serial run at the same
-seed, jobs must stay picklable, and anything the engine cannot describe
-must fall back to the serial path rather than fail or diverge.
+seed, jobs must stay picklable, and hand-made traces the engine cannot
+describe must fall back to the inline path rather than fail or diverge.
 """
 
 import pickle
@@ -21,17 +21,23 @@ from repro.experiments.engine import (
     ExperimentJob,
     LevelJob,
     RunSweepJob,
-    TraceKey,
-    build_structure,
     default_jobs,
     execute_job,
     resolve_jobs,
     run_experiments,
     run_jobs,
-    spec_of,
     validate_jobs,
 )
-from repro.specs import SystemSpec, VictimCacheSpec
+from repro.specs import (
+    NamedWorkloadSpec,
+    SpecError,
+    SystemSpec,
+    VictimCacheSpec,
+    build,
+    describe,
+    parse_structure_code,
+    structure_code,
+)
 from repro.telemetry.core import ParallelFallbackWarning
 from repro.experiments.grid import GridSpec, sweep_grid
 from repro.experiments.sweeps import (
@@ -52,52 +58,56 @@ def tiny_suite():
 
 
 class TestTraceKey:
+    """A registry trace's engine key is its :class:`NamedWorkloadSpec`."""
+
     def test_of_registry_trace_roundtrips(self, tiny_suite):
         for trace in tiny_suite:
-            key = TraceKey.of(trace)
+            key = NamedWorkloadSpec.of(trace)
             assert key is not None
             assert key.name == trace.name
             assert key.trace().pairs == trace.pairs
 
     def test_of_handmade_trace_is_none(self):
         trace = trace_from_pairs("toy", [(0, 0), (1, 16)])
-        assert TraceKey.of(trace) is None
+        assert NamedWorkloadSpec.of(trace) is None
 
     def test_memoized_per_process(self):
         assert materialized_trace("ccom", SCALE, 0) is materialized_trace("ccom", SCALE, 0)
 
 
 class TestStructureSpecs:
-    """The legacy string codes survive as deprecated shims over the spec layer."""
+    """Short structure codes round-trip through live structures via the spec layer."""
 
     @pytest.mark.parametrize("spec", ["none", "mc4", "vc4", "sb4", "sb4x4", None])
     def test_roundtrip(self, spec):
-        with pytest.deprecated_call():
-            structure = build_structure(spec)
+        structure = build(parse_structure_code(spec))
         expected = "none" if spec is None else spec
-        with pytest.deprecated_call():
-            assert spec_of(structure) == expected
+        assert structure_code(describe(structure)) == expected
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ConfigurationError, match="structure spec"), pytest.deprecated_call():
-            build_structure("warp9")
+        with pytest.raises(ConfigurationError, match="structure spec"):
+            parse_structure_code("warp9")
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_non_default_structures_have_no_short_code(self):
-        # describable as specs (see test_specs.py), but outside the old
-        # string scheme — the shim keeps returning None for them.
-        assert spec_of(MissCache(4, track_depths=True)) is None
-        assert spec_of(VictimCache(4, swap_on_hit=False)) is None
-        assert spec_of(VictimCache(4, policy=ReplacementPolicy.FIFO)) is None
-        assert spec_of(StreamBuffer(4, allocation_filter=True)) is None
-        assert spec_of(MultiWayStreamBuffer(4, 4, model_availability=True)) is None
+        # describable as specs (see test_specs.py), but outside the
+        # short-code scheme.
+        assert structure_code(describe(MissCache(4, track_depths=True))) is None
+        assert structure_code(describe(VictimCache(4, swap_on_hit=False))) is None
+        assert structure_code(describe(VictimCache(4, policy=ReplacementPolicy.FIFO))) is None
+        assert structure_code(describe(StreamBuffer(4, allocation_filter=True))) is None
+        assert (
+            structure_code(describe(MultiWayStreamBuffer(4, 4, model_availability=True)))
+            is None
+        )
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_undescribable_structure_has_no_short_code(self):
-        assert spec_of(StreamBuffer(4, fetch_sink=lambda line: None)) is None
+    def test_undescribable_structure_has_no_short_code(self, tiny_suite):
+        # A live callable cannot become a spec, so it can never be a job.
+        structure = StreamBuffer(4, fetch_sink=lambda line: None)
+        with pytest.raises(SpecError):
+            SystemSpec.for_level(tiny_suite[0], CONFIG, side="d", structure=structure)
 
     def test_jobs_are_picklable(self):
-        key = TraceKey("ccom", SCALE, 0)
+        key = NamedWorkloadSpec("ccom", SCALE, 0)
         for job in (
             LevelJob(SystemSpec.for_level(key, CONFIG, side="d", structure=VictimCacheSpec(4))),
             LevelJob(
@@ -190,16 +200,6 @@ class TestFallbackSurfacing:
         with pytest.warns(ParallelFallbackWarning, match="toy"):
             sweep_grid(self._toy_traces(), spec, side="d", jobs=4)
 
-    def test_grid_warns_on_undescribable_structure(self, tiny_suite):
-        # A live fetch_sink callable cannot be serialized into a spec.
-        spec = GridSpec(
-            cache_sizes_kb=[4],
-            line_sizes=[16],
-            structures={"sb-sink": lambda: StreamBuffer(4, fetch_sink=lambda line: None)},
-        )
-        with pytest.warns(ParallelFallbackWarning, match="sb-sink"):
-            sweep_grid(tiny_suite[:1], spec, side="d", jobs=4)
-
     def test_grid_runs_non_default_specs_in_parallel(self, tiny_suite):
         import warnings
 
@@ -282,17 +282,6 @@ class TestSweepGridDeterminism:
         serial = sweep_grid(traces, spec, side="d", jobs=1)
         with pytest.warns(ParallelFallbackWarning):
             parallel = sweep_grid(traces, spec, side="d", jobs=4)
-        assert serial.rows == parallel.rows
-
-    def test_undescribable_structure_falls_back(self, tiny_suite):
-        spec = GridSpec(
-            cache_sizes_kb=[4],
-            line_sizes=[16],
-            structures={"sb-sink": lambda: StreamBuffer(4, fetch_sink=lambda line: None)},
-        )
-        serial = sweep_grid(tiny_suite[:2], spec, side="d", jobs=1)
-        with pytest.warns(ParallelFallbackWarning):
-            parallel = sweep_grid(tiny_suite[:2], spec, side="d", jobs=4)
         assert serial.rows == parallel.rows
 
     def test_non_default_spec_grid_parallel_identical_to_serial(self, tiny_suite):

@@ -47,9 +47,9 @@ from repro.kernels import (
 from repro.specs import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
+    NamedWorkloadSpec,
     StreamBufferSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
 )
 from repro.specs.structures import (
@@ -73,7 +73,7 @@ ALL_NAMES = BENCHMARK_NAMES + EXTENSION_NAMES
 
 def qualifying_spec(**overrides) -> SystemSpec:
     defaults = dict(
-        trace=TraceSpec("linpack", 3000, 0), config=baseline_system(), side="d"
+        trace=NamedWorkloadSpec("linpack", 3000, 0), config=baseline_system(), side="d"
     )
     defaults.update(overrides)
     return SystemSpec(**defaults)

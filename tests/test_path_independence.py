@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.specs import TraceSpec
+from repro.specs import NamedWorkloadSpec
 from repro.telemetry import activate, deactivate, read_records
 from repro.traces.registry import BENCHMARK_NAMES, build_trace
 from repro.traces.trace import MaterializedTrace, TraceMeta
@@ -100,7 +100,7 @@ def test_cold_then_warm_store_match_no_store(suite, reference, path_env, tmp_pat
 
 def test_hand_made_traces_replay_inline_identically(suite, reference, path_env):
     hand_made = [MaterializedTrace(TraceMeta(name=t.name), list(t.pairs)) for t in suite]
-    assert all(TraceSpec.of(trace) is None for trace in hand_made)
+    assert all(NamedWorkloadSpec.of(trace) is None for trace in hand_made)
     scope = activate()
     try:
         ALL_EXPERIMENTS["figure_4_6"](traces=hand_made, scale=SCALE, seed=0)

@@ -195,9 +195,19 @@ class TestCircuitBreaker:
 class TestDeadlines:
     def test_deadline_ms_parsing(self):
         assert parse_query(query(deadline_ms=250)).deadline_s == 0.25
-        for bad in (True, "soon", -5, 0):
+        # json.loads accepts NaN and Infinity; neither is a budget.
+        for bad in (True, "soon", -5, 0, float("nan"), float("inf")):
             with pytest.raises(service_mod.BadRequestError):
                 parse_query(query(deadline_ms=bad))
+
+    def test_nan_deadline_answers_400(self, store, fake_engine):
+        async def check(daemon):
+            status, _, body = await advise(daemon, dict(query(), deadline_ms=float("nan")))
+            assert status == 400
+            assert "deadline_ms" in body["error"]
+            assert fake_engine.calls == 0
+
+        serve_test(check, request_deadline=5)
 
     def test_client_deadline_answers_504(self, store, fake_engine):
         fake_engine.release.clear()

@@ -25,12 +25,12 @@ from repro.specs import (
     MissCacheSpec,
     MultiWayStreamBufferSpec,
     MultiWayStrideBufferSpec,
+    NamedWorkloadSpec,
     SpecError,
     StreamBufferSpec,
     StrideBufferSpec,
     StructureSpec,
     SystemSpec,
-    TraceSpec,
     VictimCacheSpec,
     build,
     describe,
@@ -180,7 +180,7 @@ class TestLegacyCodes:
 class TestSystemSpec:
     def _spec(self, **overrides):
         base = dict(
-            trace=TraceSpec("ccom", scale=4_000, seed=0),
+            trace=NamedWorkloadSpec("ccom", scale=4_000, seed=0),
             config=baseline_system(),
             structure=VictimCacheSpec(4),
             side="d",
@@ -212,7 +212,7 @@ class TestSystemSpec:
         spec = SystemSpec.for_level(
             trace, CacheConfig(4096, 16), side="d", structure=VictimCache(4)
         )
-        assert spec.trace == TraceSpec("ccom", scale=4_000, seed=0)
+        assert spec.trace == NamedWorkloadSpec("ccom", scale=4_000, seed=0)
         assert spec.structure == VictimCacheSpec(4)
         assert SystemSpec.from_json(spec.to_json()) == spec
 
@@ -239,9 +239,9 @@ def _field_variants(base: SystemSpec):
     """One variant of *base* per spec field, labelled."""
     config = base.config
     return {
-        "trace.name": dataclasses.replace(base, trace=TraceSpec("liver", 4_000)),
-        "trace.scale": dataclasses.replace(base, trace=TraceSpec("ccom", 5_000)),
-        "trace.seed": dataclasses.replace(base, trace=TraceSpec("ccom", 4_000, seed=7)),
+        "trace.name": dataclasses.replace(base, trace=NamedWorkloadSpec("liver", 4_000)),
+        "trace.scale": dataclasses.replace(base, trace=NamedWorkloadSpec("ccom", 5_000)),
+        "trace.seed": dataclasses.replace(base, trace=NamedWorkloadSpec("ccom", 4_000, seed=7)),
         "config.dcache.size": dataclasses.replace(
             base, config=dataclasses.replace(config, dcache=CacheConfig(8192, 16))
         ),
@@ -277,7 +277,7 @@ def _field_variants(base: SystemSpec):
 
 class TestSpecHash:
     BASE = SystemSpec(
-        trace=TraceSpec("ccom", scale=4_000, seed=0),
+        trace=NamedWorkloadSpec("ccom", scale=4_000, seed=0),
         structure=VictimCacheSpec(4),
         side="d",
     )
@@ -330,25 +330,27 @@ class TestSpecHash:
 
 
 class TestTraceSpec:
+    """The registry-trace reference, :class:`NamedWorkloadSpec`."""
+
     def test_of_registry_trace(self, small_by_name):
-        key = TraceSpec.of(small_by_name["linpack"])
-        assert key == TraceSpec("linpack", scale=4_000, seed=0)
+        key = NamedWorkloadSpec.of(small_by_name["linpack"])
+        assert key == NamedWorkloadSpec("linpack", scale=4_000, seed=0)
 
     def test_of_handmade_trace_is_none(self):
         from repro.traces.trace import MaterializedTrace, TraceMeta
 
         trace = MaterializedTrace(TraceMeta(name="adhoc"), [(0, 0)])
-        assert TraceSpec.of(trace) is None
+        assert NamedWorkloadSpec.of(trace) is None
 
     def test_trace_materializes_the_referenced_workload(self):
-        key = TraceSpec("ccom", scale=2_000, seed=0)
+        key = NamedWorkloadSpec("ccom", scale=2_000, seed=0)
         trace = key.trace()
         assert trace.name == "ccom"
         assert key.trace() is trace  # memoized
 
     def test_dict_round_trip(self):
-        key = TraceSpec("fppp", scale=3_000, seed=5)
-        assert TraceSpec.from_dict(key.as_dict()) == key
+        key = NamedWorkloadSpec("fppp", scale=3_000, seed=5)
+        assert NamedWorkloadSpec.from_dict(key.as_dict()) == key
 
 
 class TestTraceCacheCap:
@@ -409,7 +411,7 @@ class TestTraceMemoWeakIndex:
     def test_held_trace_survives_twice_cap_other_builds(self, memo):
         held = memo.materialized_trace("ccom", 1_000)
         self._other_builds(memo, 2 * self.CAP)
-        assert TraceSpec("ccom", 1_000).resolve() not in memo._TRACE_CACHE
+        assert NamedWorkloadSpec("ccom", 1_000).resolve() not in memo._TRACE_CACHE
         assert memo.materialized_trace("ccom", 1_000) is held
         assert len(memo._TRACE_CACHE) == self.CAP
 
@@ -424,7 +426,7 @@ class TestTraceMemoWeakIndex:
         assert len(memo._LIVE) == self.CAP  # only what the LRU still holds
 
     def test_batch_lookup_holds_cached_traces_before_building(self, memo):
-        specs = [TraceSpec(name, 1_000) for name in ("ccom", "liver", "linpack")]
+        specs = [NamedWorkloadSpec(name, 1_000) for name in ("ccom", "liver", "linpack")]
         cached = [memo.materialized_workload(spec) for spec in specs[1:]]
         ids = [id(trace) for trace in cached]
         del cached
@@ -436,7 +438,7 @@ class TestTraceMemoWeakIndex:
     def test_lent_traces_are_found_and_give_up_their_slot_first(self, memo):
         from repro.traces.registry import build_trace
 
-        spec = TraceSpec("ccom", 1_000)
+        spec = NamedWorkloadSpec("ccom", 1_000)
         lent = build_trace("ccom", 1_000).materialize()  # built outside the memo
         with memo.lent_workloads([(spec, lent)]):
             assert memo.materialized_trace("ccom", 1_000) is lent
@@ -452,7 +454,7 @@ class TestTraceMemoWeakIndex:
     def test_pool_warm_set_outlives_the_lru(self, memo):
         from repro.experiments import engine
 
-        specs = tuple(TraceSpec(name, 1_000) for name in ("ccom", "liver", "linpack"))
+        specs = tuple(NamedWorkloadSpec(name, 1_000) for name in ("ccom", "liver", "linpack"))
         try:
             engine._warm_worker(specs)
             self._other_builds(memo, 2 * self.CAP)

@@ -14,11 +14,11 @@ import pytest
 
 from repro.common.config import CacheConfig, baseline_system
 from repro.common.types import IFETCH, LOAD
-from repro.experiments.engine import LevelJob, TraceKey, run_jobs
+from repro.experiments.engine import LevelJob, run_jobs
 from repro.experiments.runner import run_level
 from repro.experiments.sweeps import batch_entry_sweeps, batch_run_sweeps
 from repro.hierarchy.system import MemorySystem
-from repro.specs import SystemSpec, VictimCacheSpec
+from repro.specs import NamedWorkloadSpec, SystemSpec, VictimCacheSpec
 from repro.telemetry import (
     Counter,
     MetricsScope,
@@ -146,7 +146,7 @@ class TestSimulationObservation:
 
 class TestEngineObservation:
     def test_run_jobs_records_batch(self, trace):
-        key = TraceKey.of(trace)
+        key = NamedWorkloadSpec.of(trace)
         jobs = [
             LevelJob(SystemSpec.for_level(key, CONFIG, side="d")),
             LevelJob(SystemSpec.for_level(key, CONFIG, side="i")),
@@ -160,7 +160,7 @@ class TestEngineObservation:
         assert batch.workers == 1
 
     def test_run_jobs_parallel_progress_heartbeats(self, trace):
-        key = TraceKey.of(trace)
+        key = NamedWorkloadSpec.of(trace)
         jobs = [LevelJob(SystemSpec.for_level(key, CONFIG, side=side)) for side in ("i", "d")]
         updates = []
         results = run_jobs(jobs, jobs=2, progress=updates.append, heartbeat=0.05)

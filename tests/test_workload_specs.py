@@ -38,7 +38,6 @@ from repro.specs import (
     SpecError,
     SystemSpec,
     TenantMixSpec,
-    TraceSpec,
     UniformRandomSpec,
     WorkloadSpec,
     ZipfianSpec,
@@ -108,7 +107,7 @@ class TestRoundTrips:
         assert {spec: "v"}[clone] == "v"
 
     def test_legacy_nameless_payload_parses_as_named(self):
-        # The old TraceSpec wire shape, still present in stored records.
+        # The kind-less registry-reference shape, still in older stored records.
         spec = workload_from_dict({"name": "linpack", "scale": 5})
         assert spec == NamedWorkloadSpec(name="linpack", scale=5, seed=0)
 
@@ -258,7 +257,7 @@ class TestProvenanceRecovery:
     def test_registry_trace_round_trips(self):
         trace = build_trace("linpack", 800, seed=1)
         assert workload_spec_of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
-        assert TraceSpec.of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
+        assert NamedWorkloadSpec.of(trace) == NamedWorkloadSpec(name="linpack", scale=800, seed=1)
 
     def test_registry_trace_at_scale_zero_is_still_keyed(self):
         # The old path conflated "hand-made" with "scale 0": both had
