@@ -6,7 +6,7 @@ Usage::
     repro-experiments figure_3_5 ...     # run selected experiments
     repro-experiments --list             # list experiment ids
     repro-experiments --scale 30000      # smaller/larger traces
-    repro-experiments --jobs 4           # fan experiments over 4 workers
+    repro-experiments --jobs 4           # run on 4 worker processes
     repro-experiments --jobs 4 --progress --emit-metrics runs.jsonl
     repro-experiments --workload zipfian --workload tenant_mix
     repro-experiments --workload '{"kind": "zipfian", "alpha": 1.1}'
@@ -22,19 +22,26 @@ specs are embedded (replayably) in ``--emit-metrics`` run records.
 The scale flag (or the REPRO_SCALE environment variable) sets the
 instruction count per unit of Table 2-1 relative trace length; a
 malformed or non-positive value — flag or environment — exits with
-status 2 instead of leaking a traceback.  The
-jobs flag (or REPRO_JOBS) sets the worker-process count; the default of
-1 runs everything serially in this process, and any higher count
-produces identical rendered output in whatever order the experiments
-were selected.  ``--jobs 0`` (or a malformed ``REPRO_JOBS``) is
-rejected with a clear error instead of being silently clamped.
+status 2 instead of leaking a traceback.
+
+Every selection runs as one engine batch, one
+:class:`~repro.experiments.engine.ExperimentJob` per experiment.  The
+jobs flag (or REPRO_JOBS) sets the worker-process count, and one rule
+picks where it goes: several selected experiments fan out over the
+workers, each running its own simulation batches serially; a single
+experiment runs in this process and fans its simulation batches out
+instead.  The default of 1 runs everything in this process, and any
+count produces identical rendered output in the order the experiments
+were selected.  ``--jobs 0`` (or a malformed ``REPRO_JOBS``) is rejected
+with a clear error instead of being silently clamped.
 
 ``--emit-metrics PATH`` appends one JSON Lines run record per executed
 experiment (see :mod:`repro.telemetry.record` for the schema): wall
-time, references/sec, aggregated L1/L2 counters (serial runs), the
-engine's job batches and serial-fallback reasons, and result-store
-traffic when a store is active.  ``--progress`` prints parallel-engine
-heartbeats to stderr.
+time, references/sec, aggregated L1/L2 counters, the engine's job
+batches, backends and serial-fallback reasons, and result-store traffic
+when a store is active.  Each record covers its own experiment, in
+whichever process ran it.  ``--progress`` prints engine heartbeats to
+stderr.
 
 ``--result-store DIR`` (or the ``REPRO_RESULT_STORE`` environment
 variable) activates the content-addressed result store: every engine
@@ -45,10 +52,10 @@ inspects or cleans the store.
 
 ``--backend {auto,python,numpy}`` (or the ``REPRO_BACKEND`` environment
 variable) selects the simulation kernel backend: ``auto`` (the default)
-runs qualifying structure-free points on the vectorized numpy kernel
-when numpy is installed, ``python`` forces the reference interpreter
-everywhere, and ``numpy`` asks for the kernel explicitly (stateful
-structures still fall back to the interpreter — never an error).
+runs engine points on the vectorized numpy kernels when numpy is
+installed, ``python`` forces the reference interpreter everywhere, and
+``numpy`` asks for the kernels explicitly (without numpy it warns once
+and runs the interpreter — never an error).
 Malformed values exit with status 2 like ``--jobs 0`` does.
 
 Resilience flags: ``--job-timeout SECONDS`` (or ``REPRO_JOB_TIMEOUT``)
@@ -67,13 +74,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from ..common.config import baseline_system
 from ..common.errors import ConfigurationError
 from ..specs import SystemSpec
-from ..telemetry import core as telemetry
 from ..telemetry.record import append_record, build_run_record
 from . import ALL_EXPERIMENTS
 from .base import FigureResult
@@ -117,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for running experiments (default: REPRO_JOBS or 1)",
+        help=(
+            "worker processes: several experiments fan out over them, a single "
+            "experiment fans out its simulations (default: REPRO_JOBS or 1)"
+        ),
     )
     parser.add_argument(
         "--plot",
@@ -144,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="print parallel-engine heartbeat lines to stderr",
+        help="print engine heartbeat lines to stderr",
     )
     parser.add_argument(
         "--result-store",
@@ -290,7 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    from .engine import run_experiments, validate_jobs
+    from .engine import ExperimentJob, ResilienceOptions, run_jobs, validate_jobs
 
     try:
         jobs = validate_jobs(args.jobs)
@@ -310,70 +319,58 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"wrote report to {path}")
         return 0
-    emit = args.emit_metrics
-    progress = _heartbeat_printer if args.progress else None
-    if workload_specs is not None and jobs > 1:
-        # Workload-driven experiments fan out *internally* (their jobs
-        # carry full workload specs through run_jobs); propagate the
-        # worker count through the environment the engine resolves.
-        os.environ["REPRO_JOBS"] = str(jobs)
-    if jobs > 1 and workload_specs is None:
-        # Fan out over the engine; outcomes come back in selection order
-        # with per-experiment wall time measured inside the worker.  One
-        # telemetry scope covers the whole batch: the simulations run in
-        # workers, so the records carry timing plus the shared engine
-        # section (job batches, serial-fallback reasons), not counters.
-        scope = telemetry.activate() if emit else None
-        try:
-            outcomes = run_experiments(
-                selected, scale=args.scale, seed=args.seed, jobs=jobs, progress=progress
-            )
-        finally:
-            if scope is not None:
-                telemetry.deactivate()
-        for outcome in outcomes:
-            _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
-            if scope is not None:
-                _emit_record(emit, scope, outcome.name, outcome.elapsed, jobs, args)
-        return 0
-    # Materialize the shared suite once so per-experiment times are
-    # honest; workload-driven runs build their own traces instead.
+    # Hold the shared suite for the run: inline experiments and forked
+    # workers find it in the trace memo instead of rebuilding it.
     traces = None if workload_specs is not None else suite(args.scale, args.seed)
-    for name in selected:
-        started = time.time()
-        # One scope per experiment: serial runs report their simulation
-        # counters into it, so each record is self-contained.
-        scope = telemetry.activate() if emit else None
-        try:
-            kwargs = dict(traces=traces, scale=args.scale, seed=args.seed)
-            if workload_specs is not None:
-                kwargs["workloads"] = workload_specs
-            result = ALL_EXPERIMENTS[name](**kwargs)
-        finally:
-            if scope is not None:
-                telemetry.deactivate()
-        elapsed = time.time() - started
-        _print_result(name, result, elapsed, args.plot)
-        if scope is not None:
-            _emit_record(emit, scope, name, elapsed, jobs, args, workloads=workload_specs)
+    workloads = None if workload_specs is None else tuple(workload_specs)
+    batch = [ExperimentJob(name, args.scale, args.seed, workloads) for name in selected]
+    fan_out = len(batch) > 1
+    # Several experiments take the workers and run their inner batches
+    # serially; a single one runs inline and its inner batches take them.
+    # No timeout or retries at this level: --job-timeout and --retries
+    # bound the engine points inside each experiment.
+    with _environment("REPRO_JOBS", "1" if fan_out else str(jobs)):
+        outcomes = run_jobs(
+            batch,
+            jobs=jobs if fan_out else 1,
+            progress=_heartbeat_printer if args.progress else None,
+            resilience=ResilienceOptions(retries=0),
+        )
+    del traces
+    for outcome in outcomes:
+        _print_result(outcome.name, outcome.result, outcome.elapsed, args.plot)
+        if args.emit_metrics:
+            _emit_record(args.emit_metrics, outcome, jobs, args, workloads=workload_specs)
     return 0
+
+
+@contextmanager
+def _environment(name: str, value: str):
+    """Set one environment variable for a block, restoring it afterwards."""
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[name]
+        else:
+            os.environ[name] = previous
 
 
 def _heartbeat_printer(update) -> None:
     print(f"[engine] {update}", file=sys.stderr, flush=True)
 
 
-def _emit_record(
-    path: str, scope, name: str, elapsed: float, jobs: int, args, workloads=None
-) -> None:
+def _emit_record(path: str, outcome, jobs: int, args, workloads=None) -> None:
     # Experiments span many traces, so the embedded spec is config-only
     # (trace=None): it still pins geometry/timing and hashes canonically.
     # Explicit --workload specs are embedded in replayable form.
     record = build_run_record(
-        scope,
-        run=name,
+        outcome.scope,
+        run=outcome.name,
         config=baseline_system(),
-        wall_time_s=elapsed,
+        wall_time_s=outcome.elapsed,
         jobs=jobs,
         scale=args.scale,
         seed=args.seed,

@@ -19,6 +19,10 @@ and fans jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   ``REPRO_JOBS`` environment variable) everything runs inline in the
   calling process; no pool, no pickling, byte-identical results.
 
+``repro-experiments`` runs every selection as one :func:`run_jobs`
+batch with one :class:`ExperimentJob` per experiment, so whole
+experiments and their simulation points share this one executor.
+
 Job kinds
 ---------
 
@@ -54,10 +58,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ConfigurationError
 from ..common.stats import percent, safe_div
-from ..kernels import MISS_REPLAY, NUMPY, kernel_mode, select_backend
+from ..kernels import MISS_REPLAY, NUMPY, PYTHON, VECTOR, kernel_mode, select_backend
 from ..specs import NamedWorkloadSpec, SystemSpec, WorkloadSpec, spec_hash
 from ..store import ResultKey, current_store
-from ..telemetry.core import JobProgress, ProgressCallback, record_fallback
+from ..telemetry import core as telemetry
+from ..telemetry.core import JobProgress, MetricsScope, ProgressCallback, record_fallback
 from ..telemetry.core import current as _telemetry_scope
 from .base import FigureResult, TableResult
 from .runner import run_level
@@ -66,7 +71,7 @@ from .sweeps import (
     stream_buffer_run_sweep,
     victim_cache_sweep,
 )
-from .workloads import BENCHMARK_NAMES, suite
+from .workloads import BENCHMARK_NAMES
 
 __all__ = [
     "LevelJob",
@@ -89,7 +94,6 @@ __all__ = [
     "validate_retries",
     "execute_job",
     "run_jobs",
-    "run_experiments",
 ]
 
 
@@ -183,20 +187,35 @@ class RunSweepJob:
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One whole experiment module run at a given scale and seed."""
+    """One whole experiment module run at a given scale and seed.
+
+    *workloads* drives a workload-aware experiment with those specs
+    instead of its defaults (``repro-experiments --workload``).
+    """
 
     name: str
     scale: Optional[int] = None
     seed: int = 0
+    workloads: Optional[Tuple[WorkloadSpec, ...]] = None
+
+    @property
+    def traces(self) -> Tuple[WorkloadSpec, ...]:
+        """The traces the experiment replays, for warming pool workers:
+        its workloads, or else the benchmark suite."""
+        if self.workloads is not None:
+            return self.workloads
+        return tuple(NamedWorkloadSpec(name, self.scale, self.seed) for name in BENCHMARK_NAMES)
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """Result of an :class:`ExperimentJob`, with worker-side timing."""
+    """Result of an :class:`ExperimentJob`, with the timing and the
+    telemetry scope of the process that ran it."""
 
     name: str
     result: Union[TableResult, FigureResult]
     elapsed: float
+    scope: MetricsScope
 
 
 Job = Union[LevelJob, EntrySweepJob, RunSweepJob, ExperimentJob]
@@ -205,71 +224,87 @@ Job = Union[LevelJob, EntrySweepJob, RunSweepJob, ExperimentJob]
 # -- execution ----------------------------------------------------------------
 
 
-def _sweep_system(job: Union["EntrySweepJob", "RunSweepJob"]) -> SystemSpec:
-    """The spec point a sweep job is equivalent to, for backend dispatch.
+def _job_mode(job: Job) -> Optional[str]:
+    """The numpy-backend mode of a level or sweep job (None for anything else).
 
-    An entry sweep is one run with a tracked-depth structure of capacity
-    ``max_entries + 1``; a run sweep is one run with an offset-tracking
-    (multi-way) stream buffer.  Routing backend selection through the
-    equivalent spec keeps ``REPRO_BACKEND`` semantics, availability
-    probing, and the vector/miss-replay mode table in one place
-    (:func:`repro.kernels.select_backend`).
+    An entry sweep is one reuse-distance rank pass; a run sweep is a
+    consecutive-chain scan for a single-way buffer and a miss replay for
+    a multi-way one.
     """
-    from dataclasses import replace
-
-    from ..specs import (
-        MissCacheSpec,
-        MultiWayStreamBufferSpec,
-        StreamBufferSpec,
-        VictimCacheSpec,
-    )
-
+    if isinstance(job, LevelJob):
+        return kernel_mode(job.system)
     if isinstance(job, EntrySweepJob):
-        spec_cls = {"miss": MissCacheSpec, "victim": VictimCacheSpec}[job.kind]
-        structure = spec_cls(entries=job.max_entries + 1, track_depths=True)
-    elif job.ways == 1:
-        structure = StreamBufferSpec(entries=job.entries, track_run_offsets=True)
-    else:
-        structure = MultiWayStreamBufferSpec(
-            ways=job.ways, entries=job.entries, track_run_offsets=True
-        )
-    return replace(job.system, structure=structure)
+        return VECTOR
+    if isinstance(job, RunSweepJob):
+        return VECTOR if job.ways == 1 else MISS_REPLAY
+    return None
 
 
-def _dispatch_system(job: Job) -> SystemSpec:
-    """The spec whose backend a level or sweep job runs on."""
-    return job.system if isinstance(job, LevelJob) else _sweep_system(job)
+def _job_backend(job: Job) -> Optional[str]:
+    """The backend label one job will execute on, or None for an experiment.
+
+    ``python`` and ``numpy`` as :func:`repro.kernels.select_backend`
+    picks them; numpy jobs whose mode replays the interpreter structure
+    over the compressed miss stream are labelled ``miss-replay`` so
+    heartbeats and run records show the split.  Experiment jobs are
+    opaque here — their inner batches dispatch (and count) per job.
+    """
+    if isinstance(job, ExperimentJob):
+        return None
+    if select_backend(job.system) != NUMPY:
+        return PYTHON
+    return MISS_REPLAY if _job_mode(job) == MISS_REPLAY else NUMPY
+
+
+def _run_experiment(job: ExperimentJob) -> ExperimentOutcome:
+    """Run one experiment module under a fresh telemetry scope.
+
+    The scope travels back in the outcome, so a run record describes
+    its own experiment whichever process ran it; any scope the caller
+    had active is restored afterwards.
+    """
+    # Local import: the experiment registry lives in the package
+    # __init__, which itself imports this module.
+    from . import ALL_EXPERIMENTS
+
+    kwargs = {"traces": None, "scale": job.scale, "seed": job.seed}
+    if job.workloads is not None:
+        kwargs["workloads"] = list(job.workloads)
+    outer = _telemetry_scope()
+    scope = telemetry.activate()
+    started = time.time()
+    try:
+        result = ALL_EXPERIMENTS[job.name](**kwargs)
+    finally:
+        if outer is None:
+            telemetry.deactivate()
+        else:
+            telemetry.activate(outer)
+    return ExperimentOutcome(job.name, result, time.time() - started, scope)
 
 
 def execute_job(job: Job, trace=None):
     """Run one job in the current process and return its picklable result.
 
-    ``LevelJob``s are backend-dispatched: when
-    :func:`repro.kernels.select_backend` picks numpy (spec qualifies,
-    numpy importable, ``REPRO_BACKEND`` not forcing ``python``),
-    structure-free specs run the vectorized direct-mapped kernel and
-    structure-carrying specs run the assist kernel (vector or
-    miss-replay mode per :func:`repro.kernels.kernel_mode`); sweep jobs
-    dispatch through their equivalent tracked-structure spec.  All
-    backends return identical results, so dispatch is invisible to
-    callers and to the result store.
+    Level and sweep jobs are backend-dispatched: when
+    :func:`repro.kernels.select_backend` picks numpy (numpy importable,
+    ``REPRO_BACKEND`` not forcing ``python``), structure-free specs run
+    the vectorized direct-mapped kernel, structure-carrying specs and
+    sweeps run the assist kernel (vector or miss-replay mode per
+    :func:`_job_mode`).  All backends return identical results, so
+    dispatch is invisible to callers and to the result store.
+    An :class:`ExperimentJob` runs its module (:func:`_run_experiment`).
 
     *trace* replays the job on that live trace on the interpreter — the
     inline path for hand-made traces (:func:`~repro.experiments.base.run_points`).
     """
     if isinstance(job, ExperimentJob):
-        # Local import: the experiment registry lives in the package
-        # __init__, which itself imports this module.
-        from . import ALL_EXPERIMENTS
-
-        started = time.time()
-        result = ALL_EXPERIMENTS[job.name](traces=None, scale=job.scale, seed=job.seed)
-        return ExperimentOutcome(name=job.name, result=result, elapsed=time.time() - started)
+        return _run_experiment(job)
     if not isinstance(job, (LevelJob, EntrySweepJob, RunSweepJob)):
         raise TypeError(f"not an engine job: {job!r}")
     system = job.system
     if trace is None:
-        if select_backend(_dispatch_system(job)) == NUMPY:
+        if _job_backend(job) != PYTHON:
             from ..kernels import assist
 
             if isinstance(job, EntrySweepJob):
@@ -554,10 +589,14 @@ def _pool_setup(trace_keys: Tuple[WorkloadSpec, ...]):
 def _distinct_trace_keys(jobs: Iterable[Job]) -> Tuple[WorkloadSpec, ...]:
     seen = {}
     for job in jobs:
-        system = getattr(job, "system", None)
-        key = system.trace if isinstance(system, SystemSpec) else None
-        if isinstance(key, WorkloadSpec):
-            seen[key] = None
+        if isinstance(job, ExperimentJob):
+            keys = job.traces
+        else:
+            system = getattr(job, "system", None)
+            keys = (system.trace,) if isinstance(system, SystemSpec) else ()
+        for key in keys:
+            if isinstance(key, WorkloadSpec):
+                seen[key] = None
     return tuple(seen)
 
 
@@ -592,24 +631,6 @@ def _store_key(job: Job) -> Optional[ResultKey]:
 def _batch_kind(job_list: Sequence[Job]) -> str:
     kinds = {type(job).__name__ for job in job_list}
     return kinds.pop() if len(kinds) == 1 else "mixed"
-
-
-def _job_backend(job: Job) -> Optional[str]:
-    """The backend label one job will execute on, or None when opaque.
-
-    ``python`` and ``numpy`` as before; assist jobs that run the
-    interpreter structure over the compressed miss stream are labelled
-    ``miss-replay`` so heartbeats and run records show the split.
-    Experiment jobs are opaque here — their inner batches dispatch (and
-    count) per job themselves.
-    """
-    if not isinstance(job, (LevelJob, EntrySweepJob, RunSweepJob)):
-        return None
-    system = _dispatch_system(job)
-    backend = select_backend(system)
-    if backend == NUMPY and kernel_mode(system) == MISS_REPLAY:
-        return MISS_REPLAY
-    return backend
 
 
 def _backend_counts(job_list: Sequence[Job]) -> Dict[str, int]:
@@ -1202,66 +1223,3 @@ def run_jobs(
     if failures:
         raise JobFailedError(failures)
     return results
-
-
-def run_experiments(
-    names: Sequence[str],
-    scale: Optional[int] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    heartbeat: float = 5.0,
-    resilience: Optional[ResilienceOptions] = None,
-) -> List[ExperimentOutcome]:
-    """Run whole experiment modules, optionally in parallel.
-
-    Results come back in the order of *names* regardless of which worker
-    finished first, so the rendered output of a parallel run is
-    identical to the serial one.  *progress* behaves as in
-    :func:`run_jobs`: a heartbeat per completion change and at least
-    every *heartbeat* seconds of pool time.  Experiment modules are not
-    store-cacheable, but retries, timeouts, and broken-pool recovery
-    (*resilience*) apply exactly as in :func:`run_jobs`.
-    """
-    job_list = [ExperimentJob(name, scale, seed) for name in names]
-    opts = resolve_resilience(resilience)
-    entries = [_Pending(index, job, None) for index, job in enumerate(job_list)]
-    workers = min(resolve_jobs(jobs), len(job_list)) if job_list else 1
-    scope = _telemetry_scope()
-    started = time.perf_counter() if scope is not None else 0.0
-    stats = _BatchStats()
-    failures: List[JobFailure] = []
-    if workers <= 1:
-        computed, failures = _execute_entries(
-            entries, 1, opts, None, stats, progress, heartbeat, len(job_list), 0
-        )
-    else:
-        # Build the suite once in the parent before forking: fork-based
-        # platforms then share the materialized traces copy-on-write, and
-        # spawn-based ones receive the packed buffers through shared
-        # memory via the initializer (or rebuild once per worker when
-        # shared memory is unavailable).
-        suite(scale, seed)
-        suite_keys = tuple(NamedWorkloadSpec(name, scale, seed) for name in BENCHMARK_NAMES)
-        initializer, initargs, segments, note = _pool_setup(suite_keys)
-        try:
-            computed, failures = _execute_entries(
-                entries, workers, opts, None, stats, progress, heartbeat,
-                len(job_list), 0, pool_env=(initializer, initargs), note=note,
-            )
-        finally:
-            if segments:
-                from ..traces.packed import release_shared_segments
-
-                release_shared_segments(segments)
-    if scope is not None and job_list:
-        scope.record_job_batch(
-            "ExperimentJob", len(job_list), workers, time.perf_counter() - started
-        )
-        if stats.any():
-            scope.record_resilience(
-                stats.retries, stats.timeouts, stats.pool_rebuilds, stats.poisoned
-            )
-    if failures:
-        raise JobFailedError(failures)
-    return [computed[index] for index in range(len(job_list))]

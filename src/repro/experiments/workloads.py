@@ -26,9 +26,8 @@ so changing scale, seed, or any pattern parameter always rebuilds.
 
 The memo is a bounded LRU: long heterogeneous sweeps (many scales or
 seeds per worker) evict the least recently used trace instead of growing
-worker memory without limit.  The cap defaults to holding one full
-benchmark suite plus an extension and can be tuned with the
-``REPRO_TRACE_CACHE`` environment variable (minimum 1).
+worker memory without limit.  The cap (:data:`TRACE_CACHE_CAP`) holds
+one full benchmark suite plus an extension.
 
 Next to the LRU sits a weak-value index of every trace the memo has
 seen, so a lookup still finds a trace that someone else holds — a
@@ -60,12 +59,11 @@ __all__ = [
     "materialized_trace",
     "default_scale",
     "validate_scale",
-    "trace_cache_cap",
     "BENCHMARK_NAMES",
 ]
 
-#: Default cap: the six benchmarks plus extension traces at one scale.
-DEFAULT_TRACE_CACHE_CAP = 8
+#: Memo LRU capacity: the six benchmarks plus extension traces at one scale.
+TRACE_CACHE_CAP = 8
 
 _TRACE_CACHE: "OrderedDict[WorkloadSpec, MaterializedTrace]" = OrderedDict()
 #: Every trace the memo has seen that is still referenced somewhere.
@@ -109,17 +107,6 @@ def validate_scale(value: Optional[int]) -> Optional[int]:
     return value
 
 
-def trace_cache_cap() -> int:
-    """Trace-memo LRU capacity from ``REPRO_TRACE_CACHE`` (minimum 1)."""
-    raw = os.environ.get("REPRO_TRACE_CACHE", "")
-    if not raw:
-        return DEFAULT_TRACE_CACHE_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_TRACE_CACHE_CAP
-
-
 def _cached(key: WorkloadSpec) -> Optional[MaterializedTrace]:
     """The memoized trace for a resolved key, or None; never builds."""
     if key in _TRACE_CACHE:
@@ -131,7 +118,7 @@ def seed_materialized_workload(spec: WorkloadSpec, trace: MaterializedTrace) -> 
     """Make *trace* the memo's most recent entry for *spec*, evicting to the cap."""
     key = spec.resolve()
     if key not in _TRACE_CACHE:
-        while len(_TRACE_CACHE) >= trace_cache_cap():
+        while len(_TRACE_CACHE) >= TRACE_CACHE_CAP:
             _TRACE_CACHE.popitem(last=False)
     _TRACE_CACHE[key] = _LIVE[key] = trace
     _TRACE_CACHE.move_to_end(key)

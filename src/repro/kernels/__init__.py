@@ -36,28 +36,23 @@ inputs:
 * the **request** — ``REPRO_BACKEND`` (``auto`` | ``python`` | ``numpy``,
   default ``auto``) or the CLI's ``--backend`` flag, validated by
   :func:`validate_backend`;
-* the **spec** — any :class:`~repro.specs.SystemSpec` whose structure is
-  a registered spec kind qualifies; :func:`disqualification` (all
-  reasons, ``"; "``-joined) and :func:`disqualifications` (one reason
-  per offending part) name what is left out: non-spec inputs and
-  unregistered structure types;
+* the **spec** — :func:`kernel_mode` gives the point's mode; a value
+  with no mode runs the interpreter;
 * **availability** — numpy is an optional dependency (the ``fast``
   extra).  When it is missing the python backend runs instead; an
   explicit ``REPRO_BACKEND=numpy`` request additionally records a
   one-time :class:`KernelFallbackWarning` so the degradation is never
   silent.
 
-Selection **never raises for a non-qualifying spec** — an undescribable
-structure under ``REPRO_BACKEND=numpy`` silently (and correctly) runs
-the interpreter, so one environment setting can cover a heterogeneous
-sweep.
+Selection **never raises** — a point with no kernel mode runs the
+interpreter even under ``REPRO_BACKEND=numpy``.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..common.errors import ConfigurationError
 
@@ -71,14 +66,10 @@ __all__ = [
     "ENV_BACKEND",
     "KernelFallbackWarning",
     "numpy_available",
-    "numpy_unavailable_reason",
     "validate_backend",
     "default_backend",
     "structure_mode",
     "kernel_mode",
-    "disqualification",
-    "disqualifications",
-    "qualifies",
     "select_backend",
 ]
 
@@ -121,11 +112,6 @@ def _probe_numpy() -> Tuple[bool, str]:
 def numpy_available() -> bool:
     """Whether the numpy backend can run (probed once per process)."""
     return _probe_numpy()[0]
-
-
-def numpy_unavailable_reason() -> str:
-    """Why numpy is unavailable, or ``""`` when it is available."""
-    return _probe_numpy()[1]
 
 
 def _reset_probe_for_tests(
@@ -183,7 +169,7 @@ def default_backend() -> str:
     return raw
 
 
-# -- spec qualification -------------------------------------------------------
+# -- kernel modes -------------------------------------------------------------
 
 
 def structure_mode(spec) -> Optional[str]:
@@ -236,64 +222,19 @@ def structure_mode(spec) -> Optional[str]:
     return None
 
 
-def disqualifications(system) -> Tuple[str, ...]:
-    """Every reason a spec point cannot run vectorized (empty when it can).
-
-    One entry per offending part — a composite with several
-    unsupported members names each of them — so the fallback warning
-    for a heterogeneous sweep is actionable in one read.
-    """
-    from ..specs import SystemSpec
-    from ..specs.structures import StructureSpec
-
-    if not isinstance(system, SystemSpec):
-        return (f"not a SystemSpec: {type(system).__name__}",)
-    structure = system.structure
-    if structure is None:
-        return ()
-    reasons: List[str] = []
-    if not isinstance(structure, StructureSpec):
-        reasons.append(
-            f"structure is not a StructureSpec: {type(structure).__name__}"
-        )
-    elif structure.kind == "composite":
-        for member in structure.members:
-            if structure_mode(member) is None:
-                kind = getattr(member, "kind", type(member).__name__)
-                reasons.append(
-                    f"composite member {kind!r} has no kernel mode"
-                )
-    elif structure_mode(structure) is None:
-        reasons.append(f"structure kind {structure.kind!r} has no kernel mode")
-    return tuple(reasons)
-
-
-def disqualification(system) -> Optional[str]:
-    """All reasons a spec point cannot run vectorized (``"; "``-joined),
-    or None when it can."""
-    reasons = disqualifications(system)
-    return "; ".join(reasons) if reasons else None
-
-
-def qualifies(system) -> bool:
-    """Whether :func:`select_backend` could ever pick numpy for *system*."""
-    return not disqualifications(system)
-
-
 def kernel_mode(system) -> Optional[str]:
     """How *system* would execute on the numpy backend, or None.
 
     ``VECTOR`` for structure-free points and vectorizable structures,
     ``MISS_REPLAY`` for structures that replay the compressed miss
-    stream, ``None`` when the point is disqualified outright.  This is
-    a property of the spec alone — combine with
+    stream, ``None`` for anything that is not a
+    :class:`~repro.specs.SystemSpec` with a registered structure.  This
+    is a property of the spec alone — combine with
     :func:`select_backend` to learn what actually runs.
     """
     from ..specs import SystemSpec
 
     if not isinstance(system, SystemSpec):
-        return None
-    if disqualifications(system):
         return None
     return structure_mode(system.structure)
 
@@ -303,14 +244,15 @@ def select_backend(system, requested: Optional[str] = None) -> str:
 
     *requested* overrides the environment (it must already be a valid
     backend name; CLI input goes through :func:`validate_backend`
-    first).  Non-qualifying specs always fall back to python — never an
-    error — and an explicit numpy request on a machine without numpy
-    records a one-time :class:`KernelFallbackWarning`.
+    first).  A point with no :func:`kernel_mode` always falls back to
+    python — never an error — and an explicit numpy request on a
+    machine without numpy records a one-time
+    :class:`KernelFallbackWarning`.
     """
     request = default_backend() if requested is None else requested
     if request == PYTHON:
         return PYTHON
-    if disqualification(system) is not None:
+    if kernel_mode(system) is None:
         return PYTHON
     available, reason = _probe_numpy()
     if not available:

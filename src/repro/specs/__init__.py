@@ -29,7 +29,6 @@ from .structures import (
     parse_structure_code,
     register_structure,
     registered_kinds,
-    structure_code,
     structure_from_dict,
 )
 from .system import SystemSpec, spec_hash
@@ -69,7 +68,6 @@ __all__ = [
     "describe",
     "structure_from_dict",
     "parse_structure_code",
-    "structure_code",
     "WorkloadSpec",
     "NamedWorkloadSpec",
     "SequentialSpec",

@@ -23,9 +23,7 @@ Structures carrying state that cannot be rebuilt from data — a
 need to fan out fall back to serial execution.
 
 The legacy string codes (``"mc4"``, ``"vc4"``, ``"sb4"``, ``"sb4x4"``)
-parse into specs via :func:`parse_structure_code`;
-:func:`structure_code` is the partial inverse, returning the short code
-for default-option specs and None otherwise.
+parse into specs via :func:`parse_structure_code`.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ __all__ = [
     "describe",
     "structure_from_dict",
     "parse_structure_code",
-    "structure_code",
 ]
 
 
@@ -399,24 +396,3 @@ def parse_structure_code(code: Optional[str]) -> Optional[StructureSpec]:
     raise ConfigurationError(
         f"unknown structure spec {code!r}; expected none/mc<N>/vc<N>/sb<N>/sb<W>x<N>"
     )
-
-
-def structure_code(spec: Optional[StructureSpec]) -> Optional[str]:
-    """Short legacy code for a default-option spec, else None.
-
-    The partial inverse of :func:`parse_structure_code`: only the spec
-    points the old string scheme could name get a code back.
-    """
-    if spec is None:
-        return "none"
-    if isinstance(spec, MissCacheSpec) and spec == MissCacheSpec(spec.entries):
-        return f"mc{spec.entries}"
-    if isinstance(spec, VictimCacheSpec) and spec == VictimCacheSpec(spec.entries):
-        return f"vc{spec.entries}"
-    if isinstance(spec, StreamBufferSpec) and spec == StreamBufferSpec(spec.entries):
-        return f"sb{spec.entries}"
-    if isinstance(spec, MultiWayStreamBufferSpec) and spec == MultiWayStreamBufferSpec(
-        spec.ways, spec.entries
-    ):
-        return f"sb{spec.ways}x{spec.entries}"
-    return None

@@ -1,9 +1,9 @@
-"""Run telemetry: counters/timers, structured run records, bench diffs.
+"""Run telemetry: metrics scopes, structured run records, bench diffs.
 
 Three layers, importable with no dependency on the rest of the package:
 
-* :mod:`repro.telemetry.core` — :class:`Counter`/:class:`Timer`
-  primitives and the active :class:`MetricsScope`.  Disabled by default;
+* :mod:`repro.telemetry.core` — the active :class:`MetricsScope`.
+  Disabled by default;
   instrumented code checks once per *run* (never per simulated
   reference) whether a scope is active.
 * :mod:`repro.telemetry.record` — the schema-versioned per-run
@@ -15,13 +15,11 @@ Three layers, importable with no dependency on the rest of the package:
 
 from .bench import BenchDelta, BenchDiff, diff_benchmarks, load_benchmark_stats
 from .core import (
-    Counter,
     FallbackEvent,
     JobBatchStats,
     JobProgress,
     MetricsScope,
     ParallelFallbackWarning,
-    Timer,
     activate,
     current,
     deactivate,
@@ -40,8 +38,6 @@ from .record import (
 )
 
 __all__ = [
-    "Counter",
-    "Timer",
     "MetricsScope",
     "FallbackEvent",
     "JobBatchStats",

@@ -1,4 +1,4 @@
-"""Lightweight run telemetry: counters, timers, and an active scope.
+"""Lightweight run telemetry: one active scope per logical run.
 
 Observability for the simulator follows the same wiring-time pattern as
 ``MemorySystem._has_prefetch_sinks``: instrumented code checks *once per
@@ -7,8 +7,6 @@ active, and does nothing at all when none is.  A scope is activated for
 the duration of one logical run — one experiment, one CLI invocation —
 and collects:
 
-* **counters** and **timers** (:class:`Counter`, :class:`Timer`) bumped
-  by instrumented call sites;
 * **simulation observations** — every :meth:`MemorySystem.run
   <repro.hierarchy.system.MemorySystem.run>` and
   :func:`~repro.experiments.runner.run_level` executed while the scope
@@ -24,21 +22,19 @@ additionally records the reason for the run record when active.
 
 Thread-safety: scopes are process-local and activation is not
 re-entrant by design — one logical run per process at a time, matching
-how the CLI and the experiment modules use it.  Worker processes of the
-parallel engine never inherit an active scope (it is not picklable
-state), so simulations running inside workers report into the engine's
-job statistics instead.
+how the CLI and the experiment modules use it.  Level and sweep jobs
+running in engine worker processes report only into the parent's job
+statistics; an :class:`~repro.experiments.engine.ExperimentJob` runs
+under a fresh scope of its own, wherever it runs, and returns that scope
+with its outcome.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
-    "Counter",
-    "Timer",
     "FallbackEvent",
     "JobBatchStats",
     "JobProgress",
@@ -55,55 +51,6 @@ __all__ = [
 
 class ParallelFallbackWarning(UserWarning):
     """A run that requested ``jobs > 1`` silently executed serially."""
-
-
-class Counter:
-    """A named monotonically increasing integer counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
-class Timer:
-    """A named accumulating wall-clock timer (context manager).
-
-    ::
-
-        with scope.timer("materialize"):
-            ...
-
-    Accumulates across uses, so one timer can cover a loop body.
-    """
-
-    __slots__ = ("name", "elapsed", "calls", "_started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.elapsed = 0.0
-        self.calls = 0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._started is not None
-        self.elapsed += time.perf_counter() - self._started
-        self.calls += 1
-        self._started = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self.name}={self.elapsed:.6f}s/{self.calls})"
 
 
 class FallbackEvent:
@@ -208,8 +155,6 @@ class MetricsScope:
     """
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.timers: Dict[str, Timer] = {}
         self.fallbacks: List[FallbackEvent] = []
         self.job_batches: List[JobBatchStats] = []
         # Aggregated simulation observations.
@@ -236,20 +181,6 @@ class MetricsScope:
         # repro-serve daemon: requests, warm_hits, cold_misses, coalesced,
         # rejected, failed, streams.
         self.serving: Dict[str, int] = {}
-
-    # -- counters/timers ------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def timer(self, name: str) -> Timer:
-        timer = self.timers.get(name)
-        if timer is None:
-            timer = self.timers[name] = Timer(name)
-        return timer
 
     # -- engine events --------------------------------------------------------
 

@@ -27,10 +27,10 @@ that produced it, and equal hashes mean equal specs field-for-field.
 
 Counter groups (``l1i``/``l1d``/``l2`` from full-system runs,
 ``level`` from single-level replays) aggregate every simulation executed
-in the emitting process while the run's scope was active.  Parallel runs
-execute their simulations in worker processes, so their counter groups
-stay empty and the record's value is the timing plus the ``engine``
-section — job batches and serial-fallback reasons.
+in the process that held the run's scope while it was active.  Engine
+jobs fanned out to worker processes report no counters back, so a run
+whose simulations all ran in workers carries only its timing and the
+``engine`` section — job batches and serial-fallback reasons.
 
 :func:`validate_record` is the schema the tests pin; bump
 :data:`SCHEMA_VERSION` when changing the shape.

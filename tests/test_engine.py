@@ -6,6 +6,7 @@ seed, jobs must stay picklable, and hand-made traces the engine cannot
 describe must fall back to the inline path rather than fail or diverge.
 """
 
+import os
 import pickle
 
 import pytest
@@ -24,7 +25,6 @@ from repro.experiments.engine import (
     default_jobs,
     execute_job,
     resolve_jobs,
-    run_experiments,
     run_jobs,
     validate_jobs,
 )
@@ -36,7 +36,6 @@ from repro.specs import (
     build,
     describe,
     parse_structure_code,
-    structure_code,
 )
 from repro.telemetry.core import ParallelFallbackWarning
 from repro.experiments.grid import GridSpec, sweep_grid
@@ -80,9 +79,7 @@ class TestStructureSpecs:
 
     @pytest.mark.parametrize("spec", ["none", "mc4", "vc4", "sb4", "sb4x4", None])
     def test_roundtrip(self, spec):
-        structure = build(parse_structure_code(spec))
-        expected = "none" if spec is None else spec
-        assert structure_code(describe(structure)) == expected
+        assert describe(build(parse_structure_code(spec))) == parse_structure_code(spec)
 
     def test_unknown_spec_raises(self):
         with pytest.raises(ConfigurationError, match="structure spec"):
@@ -90,15 +87,16 @@ class TestStructureSpecs:
 
     def test_non_default_structures_have_no_short_code(self):
         # describable as specs (see test_specs.py), but outside the
-        # short-code scheme.
-        assert structure_code(describe(MissCache(4, track_depths=True))) is None
-        assert structure_code(describe(VictimCache(4, swap_on_hit=False))) is None
-        assert structure_code(describe(VictimCache(4, policy=ReplacementPolicy.FIFO))) is None
-        assert structure_code(describe(StreamBuffer(4, allocation_filter=True))) is None
-        assert (
-            structure_code(describe(MultiWayStreamBuffer(4, 4, model_availability=True)))
-            is None
-        )
+        # short-code scheme: no code parses to their specs.
+        coded = {parse_structure_code(code) for code in ("mc4", "vc4", "sb4", "sb4x4")}
+        for structure in (
+            MissCache(4, track_depths=True),
+            VictimCache(4, swap_on_hit=False),
+            VictimCache(4, policy=ReplacementPolicy.FIFO),
+            StreamBuffer(4, allocation_filter=True),
+            MultiWayStreamBuffer(4, 4, model_availability=True),
+        ):
+            assert describe(structure) not in coded
 
     def test_undescribable_structure_has_no_short_code(self, tiny_suite):
         # A live callable cannot become a spec, so it can never be a job.
@@ -298,6 +296,38 @@ class TestSweepGridDeterminism:
         assert serial.rows == parallel.rows
 
 
+class TestCliOneBatch:
+    """Every selection runs as one ExperimentJob batch, at any --jobs."""
+
+    def test_progress_heartbeats_at_one_job(self, monkeypatch, capsys):
+        from repro.experiments.cli import main
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["table_2_1", "figure_3_3", "--scale", "300", "--progress"]) == 0
+        err = capsys.readouterr().err
+        assert "[engine] 2/2 jobs done" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--workload", "zipfian", "--jobs", "2"],
+            ["figure_3_3", "--jobs", "2"],
+            ["table_2_1", "figure_3_3", "--jobs", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_repro_jobs_restored(self, argv, preset, monkeypatch, capsys):
+        from repro.experiments.cli import main
+
+        if preset is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", preset)
+        assert main([*argv, "--scale", "300"]) == 0
+        capsys.readouterr()
+        assert os.environ.get("REPRO_JOBS") == preset
+
+
 class TestBatchSweeps:
     def test_batch_entry_sweeps_match_loop(self, tiny_suite):
         batch = batch_entry_sweeps(tiny_suite, CONFIG, kind="victim", jobs=4)
@@ -320,8 +350,9 @@ class TestExperimentDeterminism:
     NAMES = ["table_2_1", "figure_3_3", "figure_2_2"]
 
     def test_parallel_experiments_render_identically(self):
-        serial = run_experiments(self.NAMES, scale=SCALE, jobs=1)
-        parallel = run_experiments(self.NAMES, scale=SCALE, jobs=4)
+        batch = [ExperimentJob(name, SCALE, 0) for name in self.NAMES]
+        serial = run_jobs(batch, jobs=1)
+        parallel = run_jobs(batch, jobs=4)
         assert [o.name for o in parallel] == self.NAMES
         for ser, par in zip(serial, parallel):
             assert ser.result.render() == par.result.render()
@@ -329,12 +360,14 @@ class TestExperimentDeterminism:
     def test_cli_jobs_flag_output_identical(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["table_2_1", "--scale", "300", "--jobs", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert main(["table_2_1", "--scale", "300", "--jobs", "1"]) == 0
-        serial_out = capsys.readouterr().out
-
         def strip_timing(text):
             return [line for line in text.splitlines() if not line.startswith("[")]
 
-        assert strip_timing(parallel_out) == strip_timing(serial_out)
+        # Each experiment alone fans out its inner batches; all three
+        # together fan out over the experiments.
+        for names in (["table_2_1"], ["figure_3_3"], ["figure_2_2"], self.NAMES):
+            assert main([*names, "--scale", "300", "--jobs", "2"]) == 0
+            parallel_out = capsys.readouterr().out
+            assert main([*names, "--scale", "300", "--jobs", "1"]) == 0
+            serial_out = capsys.readouterr().out
+            assert strip_timing(parallel_out) == strip_timing(serial_out), names

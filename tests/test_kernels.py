@@ -9,9 +9,8 @@ interpreter, on randomized synthetic streams, on all seven named
 workloads, and on the pattern workload specs.  Dispatch tests pin the
 selection rules: every registered structure kind has a kernel mode
 (``vector`` or ``miss-replay``, per :func:`repro.kernels.kernel_mode`),
-undescribable inputs fall back to the interpreter (never an error) with
-*all* disqualifying reasons named, ``REPRO_BACKEND`` is validated at the
-CLI boundary, and a numpy request on a machine without numpy degrades
+inputs with no mode fall back to the interpreter (never an error),
+``REPRO_BACKEND`` is validated at the CLI boundary, and a numpy request on a machine without numpy degrades
 with a one-time recorded warning.
 """
 
@@ -35,11 +34,8 @@ from repro.kernels import (
     KernelFallbackWarning,
     _reset_probe_for_tests,
     default_backend,
-    disqualification,
-    disqualifications,
     kernel_mode,
     numpy_available,
-    qualifies,
     select_backend,
     structure_mode,
     validate_backend,
@@ -480,8 +476,6 @@ def test_every_registered_structure_has_a_mode(structure, mode):
     """The mode table: every registered structure kind now qualifies."""
     assert structure_mode(structure) == mode
     spec = qualifying_spec(structure=structure)
-    assert qualifies(spec)
-    assert disqualification(spec) is None
     assert kernel_mode(spec) == mode
     if numpy_available():
         assert select_backend(spec, requested=NUMPY) == NUMPY
@@ -493,16 +487,14 @@ def test_unregistered_structure_disqualifies():
 
     spec = qualifying_spec(structure=None)
     object.__setattr__(spec, "structure", Mystery())
-    assert not qualifies(spec)
     assert structure_mode(Mystery()) is None
     assert kernel_mode(spec) is None
-    assert "Mystery" in disqualification(spec)
     # Never an error — even under an explicit numpy request.
     assert select_backend(spec, requested=NUMPY) == PYTHON
 
 
 def test_disqualification_reports_all_reasons():
-    """A composite with several unsupported members names each of them."""
+    """A composite with unsupported members has no mode and runs the interpreter."""
 
     class Left:
         kind = "left_mystery"
@@ -515,19 +507,13 @@ def test_disqualification_reports_all_reasons():
     )
     object.__setattr__(composite, "members", (Left(), Right()))
     spec = qualifying_spec(structure=composite)
-    reasons = disqualifications(spec)
-    assert len(reasons) == 2
-    assert any("left_mystery" in reason for reason in reasons)
-    assert any("right_mystery" in reason for reason in reasons)
-    joined = disqualification(spec)
-    assert "left_mystery" in joined and "right_mystery" in joined
+    assert kernel_mode(spec) is None
     assert select_backend(spec, requested=NUMPY) == PYTHON
 
 
 def test_structure_free_spec_qualifies():
     spec = qualifying_spec(classify=True, warmup=100)
-    assert qualifies(spec)
-    assert disqualification(spec) is None
+    assert kernel_mode(spec) == VECTOR
     assert select_backend(spec, requested=PYTHON) == PYTHON
     if numpy_available():
         assert select_backend(spec) in (NUMPY, PYTHON)
@@ -535,7 +521,7 @@ def test_structure_free_spec_qualifies():
 
 
 def test_non_spec_is_disqualified():
-    assert not qualifies(object())
+    assert kernel_mode(object()) is None
     assert select_backend(object(), requested=NUMPY) == PYTHON
 
 

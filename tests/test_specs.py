@@ -37,7 +37,6 @@ from repro.specs import (
     parse_structure_code,
     registered_kinds,
     spec_hash,
-    structure_code,
     structure_from_dict,
 )
 from repro.telemetry import config_hash
@@ -170,11 +169,13 @@ class TestLegacyCodes:
     )
     def test_codes_round_trip(self, code, spec):
         assert parse_structure_code(code) == spec
-        assert structure_code(spec) == code
+        assert describe(build(parse_structure_code(code))) == parse_structure_code(code)
 
     def test_non_default_options_have_no_code(self):
-        assert structure_code(VictimCacheSpec(4, swap_on_hit=False)) is None
-        assert structure_code(StrideBufferSpec(4)) is None
+        # Codes name only default-option specs: no code parses to these.
+        coded = {parse_structure_code(code) for code in ("mc4", "vc4", "sb4", "sb4x4")}
+        assert VictimCacheSpec(4, swap_on_hit=False) not in coded
+        assert StrideBufferSpec(4) not in coded
 
 
 class TestSystemSpec:
@@ -354,25 +355,13 @@ class TestTraceSpec:
 
 
 class TestTraceCacheCap:
-    def test_cap_env_override(self, monkeypatch):
-        from repro.experiments.workloads import trace_cache_cap
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "3")
-        assert trace_cache_cap() == 3
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert trace_cache_cap() == 1
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "junk")
-        from repro.experiments.workloads import DEFAULT_TRACE_CACHE_CAP
-
-        assert trace_cache_cap() == DEFAULT_TRACE_CACHE_CAP
-
     def test_memo_evicts_least_recently_used(self, monkeypatch):
         from repro.experiments import workloads
 
         import gc
         import weakref
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        monkeypatch.setattr(workloads, "TRACE_CACHE_CAP", 2)
         monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
         monkeypatch.setattr(workloads, "_LIVE", weakref.WeakValueDictionary())
         a = workloads.materialized_trace("ccom", 1_000)
@@ -397,7 +386,7 @@ class TestTraceMemoWeakIndex:
 
         from repro.experiments import workloads
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(self.CAP))
+        monkeypatch.setattr(workloads, "TRACE_CACHE_CAP", self.CAP)
         monkeypatch.setattr(workloads, "_TRACE_CACHE", type(workloads._TRACE_CACHE)())
         monkeypatch.setattr(workloads, "_LIVE", weakref.WeakValueDictionary())
         return workloads

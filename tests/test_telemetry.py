@@ -20,10 +20,8 @@ from repro.experiments.sweeps import batch_entry_sweeps, batch_run_sweeps
 from repro.hierarchy.system import MemorySystem
 from repro.specs import NamedWorkloadSpec, SystemSpec, VictimCacheSpec
 from repro.telemetry import (
-    Counter,
     MetricsScope,
     ParallelFallbackWarning,
-    Timer,
     append_record,
     build_run_record,
     config_hash,
@@ -52,29 +50,6 @@ def no_leaked_scope():
     yield
     assert telemetry_core.current() is None, "test leaked an active telemetry scope"
     telemetry_core.deactivate()
-
-
-class TestPrimitives:
-    def test_counter_accumulates(self):
-        counter = Counter("jobs")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-
-    def test_timer_accumulates_across_uses(self):
-        timer = Timer("t")
-        for _ in range(2):
-            with timer:
-                pass
-        assert timer.calls == 2
-        assert timer.elapsed >= 0.0
-
-    def test_scope_memoizes_counters_and_timers(self):
-        scope = MetricsScope()
-        assert scope.counter("a") is scope.counter("a")
-        assert scope.timer("b") is scope.timer("b")
-        scope.counter("a").add(3)
-        assert scope.counters["a"].value == 3
 
 
 class TestScopeLifecycle:
@@ -312,20 +287,44 @@ class TestCliEmitMetrics:
         assert records[1].references > 0
         assert records[1].level_runs > 0
 
+    @staticmethod
+    def _batch_kinds(record):
+        return [batch["kind"] for batch in record.engine["job_batches"]]
+
     def test_one_record_per_run_parallel(self, tmp_path, capsys):
+        """Fanned-out experiments each report their own work, from their worker."""
         from repro.experiments.cli import main
 
         path = str(tmp_path / "metrics.jsonl")
         assert main(
-            ["table_2_1", "table_1_1", "--scale", "300", "--jobs", "2", "--emit-metrics", path]
+            ["table_2_1", "figure_3_3", "--scale", "300", "--jobs", "2", "--emit-metrics", path]
         ) == 0
         capsys.readouterr()
         records = list(read_records(path))
-        assert [r.run for r in records] == ["table_2_1", "table_1_1"]
+        assert [r.run for r in records] == ["table_2_1", "figure_3_3"]
         for record in records:
             assert record.mode == "parallel"
             assert record.jobs == 2
-            assert record.engine["job_batches"], "parallel record must carry the batch stats"
+        table, figure = records
+        assert "EntrySweepJob" not in self._batch_kinds(table)
+        assert "EntrySweepJob" in self._batch_kinds(figure)
+        assert figure.references > 0
+        assert figure.backends, "the sweep figure's record must name its backends"
+
+    def test_single_experiment_fans_out_its_inner_batches(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        path = str(tmp_path / "metrics.jsonl")
+        assert main(
+            ["figure_3_3", "--scale", "300", "--jobs", "2", "--emit-metrics", path]
+        ) == 0
+        capsys.readouterr()
+        (record,) = read_records(path)
+        sweeps = [
+            batch for batch in record.engine["job_batches"] if batch["kind"] == "EntrySweepJob"
+        ]
+        assert sweeps and all(batch["workers"] == 2 for batch in sweeps)
+        assert record.backends
 
     def test_no_metrics_file_without_flag(self, tmp_path, capsys):
         from repro.experiments.cli import main
